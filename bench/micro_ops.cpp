@@ -427,18 +427,15 @@ void BM_VerdictCacheLookup(benchmark::State& state) {
   check::CheckOptions co;
   co.engine_spec = "ic3-ctg";
   co.budget_ms = 60000;
-  const check::CheckResult r = check::check_aig(cc.aig, co);
-  std::string why;
-  const std::optional<cert::Certificate> c =
-      cert::from_verdict(ts, r.verdict, r.invariant, r.trace, r.kind_k,
-                         r.kind_simple_path, /*property_index=*/0, &why);
+  const check::CheckResult r = check::check_ts(ts, co);
   serve::CacheEntry entry;
   entry.hash = aig::canonical_hash_hex(cc.aig);
   entry.verdict = r.verdict;
   entry.engine = co.engine_spec;
   entry.seconds = r.seconds;
   entry.frames = r.frames;
-  entry.cert_text = c ? cert::to_text(*c) : std::string();
+  entry.cert_text =
+      r.certificate ? cert::to_text(*r.certificate) : std::string();
   entry.case_name = cc.name;
   entry.timestamp = "2026-01-01T00:00:00Z";
 

@@ -8,9 +8,9 @@
 #include <cstdio>
 #include <map>
 
+#include "cert/certificate.hpp"
 #include "circuits/families.hpp"
 #include "ic3/engine.hpp"
-#include "ic3/witness.hpp"
 #include "ts/transition_system.hpp"
 #include "util/options.hpp"
 
@@ -59,7 +59,8 @@ int main(int argc, char** argv) {
   }
 
   // Independent certification (initiation, consecution, property).
-  const ic3::CheckOutcome check = ic3::check_invariant(ts, inv);
+  const cert::CheckOutcome check =
+      cert::check(ts, cert::from_invariant(ts, inv));
   std::printf("\nindependent certification: %s%s%s\n",
               check.ok ? "PASSED" : "FAILED", check.ok ? "" : " — ",
               check.reason.c_str());

@@ -5,6 +5,7 @@
 #include <fstream>
 #include <functional>
 #include <istream>
+#include <optional>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -44,6 +45,49 @@ Header read_header(std::istream& in) {
     }
   }
   return h;
+}
+
+/// Binary inputs have no section of their own, so the payload cannot bound
+/// them entry by entry; they are capped at this many per payload byte plus
+/// kInputSlack instead.
+constexpr std::uint64_t kInputsPerByte = 8;
+constexpr std::uint64_t kInputSlack = 1024;
+
+/// Rejects a header whose counts cannot fit the `payload` bytes after it,
+/// before any section vector is sized from them.  Every explicit entry (an
+/// input, latch, output, bad or constraint line, or a binary AND gate)
+/// takes at least two bytes.  Checking each count against what is left
+/// also keeps the I+L+A sums below from overflowing.
+void check_header_fits(const Header& h, std::uint64_t payload) {
+  std::uint64_t entries_left = payload / 2;
+  for (const std::uint64_t count :
+       {h.binary ? 0 : h.i, h.l, h.o, h.b, h.c, h.a}) {
+    if (count > entries_left) {
+      fail("header counts need more than the " + std::to_string(payload) +
+           " bytes that follow it");
+    }
+    entries_left -= count;
+  }
+  if (h.binary && h.i > kInputSlack &&
+      (h.i - kInputSlack) / kInputsPerByte > payload) {
+    fail("header declares " + std::to_string(h.i) + " inputs for a " +
+         std::to_string(payload) + "-byte payload");
+  }
+  if (h.m < h.i + h.l) fail("header: M < I+L");
+  if (h.binary && h.m != h.i + h.l + h.a) fail("binary header: M != I+L+A");
+  if (h.m > h.i + h.l + h.a) fail("header: M > I+L+A");
+}
+
+/// Bytes left in `in`, measured without consuming them; nullopt when the
+/// stream cannot seek.
+std::optional<std::uint64_t> remaining_bytes(std::istream& in) {
+  const std::istream::pos_type here = in.tellg();
+  if (here == std::istream::pos_type(-1)) return std::nullopt;
+  in.seekg(0, std::ios::end);
+  const std::istream::pos_type end = in.tellg();
+  in.seekg(here);
+  if (end == std::istream::pos_type(-1) || !in) return std::nullopt;
+  return static_cast<std::uint64_t>(end - here);
 }
 
 std::uint64_t read_uint_line(std::istream& in, const char* what) {
@@ -213,7 +257,6 @@ Aig read_ascii(std::istream& in, const Header& h) {
 }
 
 Aig read_binary(std::istream& in, const Header& h) {
-  if (h.m != h.i + h.l + h.a) fail("binary header: M != I+L+A");
   Aig out;
   Translator tr(h.m);
   // Inputs are implicit: variables 1..I.
@@ -325,7 +368,16 @@ void write_header_and_sections(
 
 Aig read_aiger(std::istream& in) {
   const Header h = read_header(in);
-  if (h.m < h.i + h.l) fail("header: M < I+L");
+  const std::optional<std::uint64_t> payload = remaining_bytes(in);
+  if (!payload.has_value()) {
+    // An unseekable stream: buffer the rest so its length is known.
+    std::ostringstream rest;
+    rest << in.rdbuf();
+    std::istringstream buffered(rest.str());
+    check_header_fits(h, rest.str().size());
+    return h.binary ? read_binary(buffered, h) : read_ascii(buffered, h);
+  }
+  check_header_fits(h, *payload);
   return h.binary ? read_binary(in, h) : read_ascii(in, h);
 }
 

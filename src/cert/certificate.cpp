@@ -13,8 +13,8 @@
 namespace pilot::cert {
 namespace {
 
-ic3::CheckOutcome failure(std::string reason) {
-  return ic3::CheckOutcome{false, std::move(reason)};
+CheckOutcome failure(std::string reason) {
+  return CheckOutcome{false, std::move(reason)};
 }
 
 /// The deliberately-different solver configuration: no trail reuse, no
@@ -56,8 +56,8 @@ void add_state_disequality(sat::Solver& solver, const ts::Unroller& un,
   solver.add_clause(diff_bits);
 }
 
-ic3::CheckOutcome check_shape(const ts::TransitionSystem& ts,
-                              const Certificate& cert) {
+CheckOutcome check_shape(const ts::TransitionSystem& ts,
+                         const Certificate& cert) {
   if (cert.num_latches != ts.num_latches()) {
     std::ostringstream oss;
     oss << "certificate declares " << cert.num_latches
@@ -75,7 +75,7 @@ ic3::CheckOutcome check_shape(const ts::TransitionSystem& ts,
       }
     }
   }
-  return ic3::CheckOutcome{};
+  return CheckOutcome{};
 }
 
 std::string clause_to_string(const std::vector<int>& clause) {
@@ -89,9 +89,9 @@ std::string clause_to_string(const std::vector<int>& clause) {
   return oss.str();
 }
 
-ic3::CheckOutcome check_invariant_cert(const ts::TransitionSystem& ts,
-                                       const Certificate& cert,
-                                       std::uint64_t seed) {
+CheckOutcome check_invariant_cert(const ts::TransitionSystem& ts,
+                                  const Certificate& cert,
+                                  std::uint64_t seed) {
   const aig::Aig& circuit = ts.aig();
 
   // (1) Init ⊆ Inv.  I is a cube over the latches, so a clause holds on
@@ -146,12 +146,12 @@ ic3::CheckOutcome check_invariant_cert(const ts::TransitionSystem& ts,
                      clause_to_string(clause));
     }
   }
-  return ic3::CheckOutcome{};
+  return CheckOutcome{};
 }
 
-ic3::CheckOutcome check_kinduction_cert(const ts::TransitionSystem& ts,
-                                        const Certificate& cert,
-                                        std::uint64_t seed) {
+CheckOutcome check_kinduction_cert(const ts::TransitionSystem& ts,
+                                   const Certificate& cert,
+                                   std::uint64_t seed) {
   if (cert.k < 0) return failure("k-induction certificate has no bound");
   const int k = cert.k;
 
@@ -190,7 +190,7 @@ ic3::CheckOutcome check_kinduction_cert(const ts::TransitionSystem& ts,
       return failure("step case fails at k = " + std::to_string(k));
     }
   }
-  return ic3::CheckOutcome{};
+  return CheckOutcome{};
 }
 
 /// Splits `text` into lines (without terminators); a trailing newline does
@@ -210,8 +210,8 @@ std::vector<std::string> split_lines(const std::string& text) {
   return lines;
 }
 
-ic3::CheckOutcome check_witness_cert(const ts::TransitionSystem& ts,
-                                     const Certificate& cert) {
+CheckOutcome check_witness_cert(const ts::TransitionSystem& ts,
+                                const Certificate& cert) {
   const aig::Aig& circuit = ts.aig();
   const std::vector<std::string> lines = split_lines(cert.witness);
   // Layout: "1", "b<idx>", latch reset line, one input line per step, ".".
@@ -293,7 +293,7 @@ ic3::CheckOutcome check_witness_cert(const ts::TransitionSystem& ts,
       sim.latch_step();
     }
   }
-  return ic3::CheckOutcome{};
+  return CheckOutcome{};
 }
 
 }  // namespace
@@ -594,10 +594,10 @@ std::optional<Certificate> load(const std::string& path, std::string* error) {
   return parse(text.str(), error);
 }
 
-ic3::CheckOutcome check(const ts::TransitionSystem& ts,
-                        const Certificate& cert, std::uint64_t seed) {
+CheckOutcome check(const ts::TransitionSystem& ts, const Certificate& cert,
+                   std::uint64_t seed) {
   PILOT_TRACE_ZONE("cert.check");
-  const ic3::CheckOutcome shape = check_shape(ts, cert);
+  const CheckOutcome shape = check_shape(ts, cert);
   if (!shape.ok) return shape;
   switch (cert.kind) {
     case Certificate::Kind::kInvariant:

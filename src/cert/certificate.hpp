@@ -35,6 +35,12 @@
 
 namespace pilot::cert {
 
+/// Outcome of a certificate check; `ok` plus a human-readable reason.
+struct CheckOutcome {
+  bool ok = true;
+  std::string reason;
+};
+
 struct Certificate {
   enum class Kind { kInvariant, kKinduction, kWitness };
 
@@ -107,9 +113,9 @@ bool save(const Certificate& cert, const std::string& path);
 /// Validates `cert` against `ts` with the independent configuration
 /// described in the file comment.  `seed` perturbs the checker's variable
 /// order (any value works; pass the run seed so failures reproduce).
-[[nodiscard]] ic3::CheckOutcome check(const ts::TransitionSystem& ts,
-                                      const Certificate& cert,
-                                      std::uint64_t seed = 0);
+[[nodiscard]] CheckOutcome check(const ts::TransitionSystem& ts,
+                                 const Certificate& cert,
+                                 std::uint64_t seed = 0);
 
 /// Self-contained AIGER certificate circuit for an invariant certificate:
 /// a combinational AIG over (latch values, primary inputs) with three bad
@@ -120,3 +126,9 @@ bool save(const Certificate& cert, const std::string& path);
                                            const Certificate& cert);
 
 }  // namespace pilot::cert
+
+namespace pilot::ic3 {
+/// The checker's outcome under its older name, which perfbench/harness.cpp
+/// still spells.
+using CheckOutcome = cert::CheckOutcome;
+}  // namespace pilot::ic3

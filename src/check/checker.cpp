@@ -2,38 +2,12 @@
 
 #include <memory>
 #include <optional>
-#include <stdexcept>
 #include <utility>
 
 #include "engine/backend.hpp"
 #include "obs/progress.hpp"
 
 namespace pilot::check {
-
-const char* to_string(EngineKind kind) {
-  switch (kind) {
-    case EngineKind::kIc3Down: return "ic3-down";
-    case EngineKind::kIc3DownPl: return "ic3-down-pl";
-    case EngineKind::kIc3Ctg: return "ic3-ctg";
-    case EngineKind::kIc3CtgPl: return "ic3-ctg-pl";
-    case EngineKind::kIc3Cav23: return "ic3-cav23";
-    case EngineKind::kPdr: return "pdr";
-    case EngineKind::kBmc: return "bmc";
-    case EngineKind::kKinduction: return "kind";
-    case EngineKind::kPortfolio: return "portfolio";
-  }
-  return "?";
-}
-
-EngineKind engine_kind_from_string(const std::string& name) {
-  for (const EngineKind k :
-       {EngineKind::kIc3Down, EngineKind::kIc3DownPl, EngineKind::kIc3Ctg,
-        EngineKind::kIc3CtgPl, EngineKind::kIc3Cav23, EngineKind::kPdr,
-        EngineKind::kBmc, EngineKind::kKinduction, EngineKind::kPortfolio}) {
-    if (name == to_string(k)) return k;
-  }
-  throw std::invalid_argument("unknown engine '" + name + "'");
-}
 
 const std::vector<std::string>& paper_configurations() {
   static const std::vector<std::string> kConfigs{
@@ -42,30 +16,37 @@ const std::vector<std::string>& paper_configurations() {
   return kConfigs;
 }
 
-ic3::Config config_for(EngineKind kind, std::uint64_t seed) {
-  return engine::ic3_config_for(to_string(kind), seed);
-}
-
 namespace {
 
-/// Certifies the certificate (when present and requested) and folds an
-/// EngineResult into the CheckResult shape shared by every engine.
+/// Folds an EngineResult into the CheckResult shape shared by every engine
+/// and certifies it: the certificate is built once and, with
+/// verify_witness, checked once.  `gated` is a certificate the portfolio's
+/// certify gate already passed, so it is not checked again.
 CheckResult certify(const ts::TransitionSystem& ts, engine::EngineResult r,
-                    const CheckOptions& options) {
+                    const CheckOptions& options,
+                    std::optional<cert::Certificate> gated = std::nullopt) {
   CheckResult out;
   out.verdict = r.verdict;
   out.seconds = r.seconds;
   out.stats = r.stats;
   out.frames = r.frames;
-  if (options.verify_witness) {
-    if (r.verdict == ic3::Verdict::kUnsafe && r.trace.has_value()) {
-      const ic3::CheckOutcome c = ic3::check_trace(ts, *r.trace);
+  if (gated.has_value()) {
+    out.certificate = std::move(gated);
+    out.witness_checked = true;
+  } else if (r.verdict != ic3::Verdict::kUnknown) {
+    std::string why;
+    out.certificate = cert::from_verdict(
+        ts, r.verdict, r.invariant, r.trace, r.kind_k, r.kind_simple_path,
+        options.property_index, &why);
+    if (options.verify_witness) {
+      ++out.stats.num_cert_checks;
+      const cert::CheckOutcome c =
+          out.certificate.has_value()
+              ? cert::check(ts, *out.certificate, options.seed)
+              : cert::CheckOutcome{false, why};
       out.witness_checked = c.ok;
       out.witness_error = c.reason;
-    } else if (r.verdict == ic3::Verdict::kSafe && r.invariant.has_value()) {
-      const ic3::CheckOutcome c = ic3::check_invariant(ts, *r.invariant);
-      out.witness_checked = c.ok;
-      out.witness_error = c.reason;
+      if (!c.ok) ++out.stats.num_cert_failures;
     }
   }
   out.trace = std::move(r.trace);
@@ -123,7 +104,8 @@ CheckResult run_portfolio_backends(const ts::TransitionSystem& ts,
   // `--gen` — e.g. racing every config under "dynamic".)
   engine::PortfolioResult pr =
       engine::run_portfolio(ts, po, deadline_for(options), options.cancel);
-  CheckResult out = certify(ts, std::move(pr.result), options);
+  CheckResult out =
+      certify(ts, std::move(pr.result), options, std::move(pr.certificate));
   out.winner = std::move(pr.winner);
   out.backend_timings = std::move(pr.timings);
   out.exchange = pr.exchange;

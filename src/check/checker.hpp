@@ -4,9 +4,12 @@
 ///
 /// Engine selection is a registry `engine_spec` string resolved through
 /// engine::Backend (engine/backend.hpp): any registered backend name, or
-/// "portfolio[:a+b+c]" for a first-verdict-wins race.  The `EngineKind`
-/// enum survives only as a thin CLI-facing shim mapping 1:1 onto registry
-/// names via to_string(); nothing below the CLI dispatches on it.
+/// "portfolio[:a+b+c]" for a first-verdict-wins race.
+///
+/// Every definitive verdict leaves check_ts with its certificate
+/// (cert/certificate.hpp), built once and, with `verify_witness`, checked
+/// once by cert::check.  Callers that save, cache or gate on the
+/// certificate read CheckResult instead of checking again.
 ///
 /// The six configurations evaluated in the paper map onto specs as follows
 /// (DESIGN.md §2):
@@ -23,6 +26,7 @@
 #include <vector>
 
 #include "aig/aig.hpp"
+#include "cert/certificate.hpp"
 #include "engine/portfolio.hpp"
 #include "ic3/engine.hpp"
 #include "ts/transition_system.hpp"
@@ -30,22 +34,6 @@
 #include "util/timer.hpp"
 
 namespace pilot::check {
-
-/// CLI-facing shim over the registry names; see the file comment.
-enum class EngineKind {
-  kIc3Down,
-  kIc3DownPl,
-  kIc3Ctg,
-  kIc3CtgPl,
-  kIc3Cav23,
-  kPdr,
-  kBmc,
-  kKinduction,
-  kPortfolio,
-};
-
-[[nodiscard]] const char* to_string(EngineKind kind);
-[[nodiscard]] EngineKind engine_kind_from_string(const std::string& name);
 
 /// All paper configurations as registry specs, in Table 1 order.
 [[nodiscard]] const std::vector<std::string>& paper_configurations();
@@ -84,7 +72,8 @@ struct CheckOptions {
   std::int64_t budget_ms = 0;  // 0 = unlimited
   std::uint64_t seed = 0;
   std::size_t property_index = 0;
-  /// Certify witnesses (trace replay / invariant re-check) after solving.
+  /// Check the verdict's certificate (witness replay, invariant or
+  /// k-induction re-check) with cert::check after solving.
   bool verify_witness = true;
   /// External abort (nullable): the engine observes the token at its next
   /// deadline poll and returns kUnknown.  Must outlive the check call.
@@ -104,10 +93,13 @@ struct CheckResult {
   double seconds = 0.0;
   ic3::Ic3Stats stats;           // meaningful for IC3 engines
   std::size_t frames = 0;
-  bool witness_checked = false;  // a certificate was produced and verified
+  bool witness_checked = false;  // the certificate passed cert::check
   std::string witness_error;     // non-empty if certification failed
-  std::optional<ic3::Trace> trace;                  // UNSAFE certificate
-  std::optional<ic3::InductiveInvariant> invariant; // SAFE certificate
+  /// The definitive verdict's certificate (nullopt for UNKNOWN, or when the
+  /// engine returned no payload to build one from — see witness_error).
+  std::optional<cert::Certificate> certificate;
+  std::optional<ic3::Trace> trace;                  // UNSAFE evidence
+  std::optional<ic3::InductiveInvariant> invariant; // SAFE evidence
   /// k-induction SAFE proofs: the closing bound (< 0 otherwise) and whether
   /// simple-path strengthening was on — the payload cert::from_kinduction
   /// turns into a certificate.
@@ -120,10 +112,6 @@ struct CheckResult {
   /// Portfolio runs with lemma exchange: hub-level traffic counters.
   engine::LemmaExchangeStats exchange;
 };
-
-/// Builds the ic3::Config corresponding to an IC3-family EngineKind.
-/// (Compatibility shim over engine::ic3_config_for.)
-[[nodiscard]] ic3::Config config_for(EngineKind kind, std::uint64_t seed);
 
 /// Checks property `property_index` of `aig` with the chosen engine.
 CheckResult check_aig(const aig::Aig& aig, const CheckOptions& options);

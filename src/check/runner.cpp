@@ -145,22 +145,17 @@ std::vector<RunRecord> run_matrix(const std::vector<corpus::Case>& cases,
       rec.num_latches = lc.aig->num_latches();
       rec.num_ands = lc.aig->num_ands();
 
-      // The transition system is needed by the cache (revalidation) and the
-      // certify/store paths; built at most once per job.
-      std::optional<ts::TransitionSystem> ts_storage;
-      const auto get_ts = [&]() -> const ts::TransitionSystem& {
-        if (!ts_storage.has_value()) {
-          ts_storage = ts::TransitionSystem::from_aig(*lc.aig, 0);
-        }
-        return *ts_storage;
-      };
+      // One transition system per job serves the cache revalidation and
+      // the engine run.
+      const ts::TransitionSystem ts =
+          ts::TransitionSystem::from_aig(*lc.aig, 0);
 
       // Tier 1 — verdict cache: a revalidated hit skips the engine
       // entirely; the record's time is the lookup + re-check cost.
       if (options.cache != nullptr) {
         Timer lookup_timer;
         const std::optional<serve::CacheEntry> hit =
-            options.cache->lookup(rec.content_hash, get_ts(), options.seed);
+            options.cache->lookup(rec.content_hash, ts, options.seed);
         if (hit.has_value()) {
           rec.verdict = hit->verdict;
           rec.solved = true;
@@ -198,7 +193,10 @@ std::vector<RunRecord> run_matrix(const std::vector<corpus::Case>& cases,
       co.share_lemmas = options.share_lemmas;
       co.budget_ms = options.budget_ms;
       co.seed = options.seed;
-      co.verify_witness = options.verify_witness;
+      // --certify and the cache store need a checked certificate even
+      // with verify_witness off; check_ts checks it once for all of them.
+      co.verify_witness =
+          options.verify_witness || options.certify || options.cache != nullptr;
       co.cancel = options.cancel;
 
       // Tier 2 — advisor: open with the engine + ~1.5× budget that solved
@@ -221,7 +219,7 @@ std::vector<RunRecord> run_matrix(const std::vector<corpus::Case>& cases,
           advised.budget_ms = options.budget_ms > 0
                                   ? std::min(adv->budget_ms, options.budget_ms)
                                   : adv->budget_ms;
-          CheckResult ares = check_aig(*lc.aig, advised);
+          CheckResult ares = check_ts(ts, advised);
           advised_seconds = ares.seconds;
           if (ares.verdict != ic3::Verdict::kUnknown) {
             res = std::move(ares);
@@ -233,7 +231,7 @@ std::vector<RunRecord> run_matrix(const std::vector<corpus::Case>& cases,
           }
         }
       }
-      if (!advised_solved) res = check_aig(*lc.aig, co);
+      if (!advised_solved) res = check_ts(ts, co);
 
       rec.verdict = res.verdict;
       rec.solved = res.verdict != ic3::Verdict::kUnknown;
@@ -260,64 +258,39 @@ std::vector<RunRecord> run_matrix(const std::vector<corpus::Case>& cases,
                      res.witness_error.c_str());
         soundness_violated.store(true);
       }
-      // Certification pass (--certify) and cache store share one
-      // certificate build: --certify gates soundness on it; a cache miss
-      // stores the verdict only when the certificate independently checks,
-      // so nothing uncheckable ever enters the cache.
-      const bool want_store = options.cache != nullptr && rec.solved;
-      if (rec.solved && (options.certify || want_store)) {
-        const ts::TransitionSystem& ts = get_ts();
-        std::string why;
-        const std::optional<cert::Certificate> c = cert::from_verdict(
-            ts, res.verdict, res.invariant, res.trace, res.kind_k,
-            res.kind_simple_path, /*property_index=*/0, &why);
-        ++rec.stats.num_cert_checks;
-        std::string status;
-        if (c.has_value()) {
-          const ic3::CheckOutcome outcome = cert::check(ts, *c, options.seed);
-          if (outcome.ok) {
-            status = "ok";
-            if (options.certify && !options.cert_dir.empty()) {
-              const std::string path = options.cert_dir + "/" + cc.name +
-                                       "__" + sanitize_engine_spec(spec) +
-                                       ".cert";
-              if (cert::save(*c, path)) {
-                rec.cert_path = path;
-              } else {
-                status = "failed: cannot write " + path;
-              }
-            }
+      // --certify publishes check_ts's certificate outcome and trips the
+      // soundness gate on a failure; the cache stores only a verdict whose
+      // certificate passed, so nothing uncheckable ever enters it.
+      if (rec.solved && options.certify) {
+        std::string status =
+            res.witness_checked ? "ok" : "failed: " + res.witness_error;
+        if (res.witness_checked && !options.cert_dir.empty()) {
+          const std::string path = options.cert_dir + "/" + cc.name + "__" +
+                                   sanitize_engine_spec(spec) + ".cert";
+          if (cert::save(*res.certificate, path)) {
+            rec.cert_path = path;
           } else {
-            status = "failed: " + outcome.reason;
-          }
-        } else {
-          status = "failed: " + why;
-        }
-        if (want_store && status == "ok") {
-          serve::CacheEntry entry;
-          entry.hash = rec.content_hash;
-          entry.verdict = rec.verdict;
-          entry.engine = spec;
-          entry.seconds = rec.seconds;
-          entry.frames = rec.frames;
-          entry.cert_text = cert::to_text(*c);
-          entry.case_name = cc.name;
-          entry.timestamp = corpus::now_utc_iso8601();
-          options.cache->store(entry);
-        }
-        if (options.certify) {
-          // Only --certify publishes the status and trips the soundness
-          // gate; a store-only certification failure just skips the store
-          // (the verdict itself may still be fine, e.g. an engine that
-          // returned SAFE without an invariant payload).
-          rec.cert_status = status;
-          if (status != "ok") {
-            ++rec.stats.num_cert_failures;
-            std::fprintf(stderr, "CERTIFICATE CHECK FAILED: %s with %s: %s\n",
-                         cc.name.c_str(), spec.c_str(), status.c_str());
-            soundness_violated.store(true);
+            status = "failed: cannot write " + path;
           }
         }
+        rec.cert_status = status;
+        if (status != "ok") {
+          std::fprintf(stderr, "CERTIFICATE CHECK FAILED: %s with %s: %s\n",
+                       cc.name.c_str(), spec.c_str(), status.c_str());
+          soundness_violated.store(true);
+        }
+      }
+      if (options.cache != nullptr && rec.solved && res.witness_checked) {
+        serve::CacheEntry entry;
+        entry.hash = rec.content_hash;
+        entry.verdict = rec.verdict;
+        entry.engine = spec;
+        entry.seconds = rec.seconds;
+        entry.frames = rec.frames;
+        entry.cert_text = cert::to_text(*res.certificate);
+        entry.case_name = cc.name;
+        entry.timestamp = corpus::now_utc_iso8601();
+        options.cache->store(entry);
       }
       records[j] = std::move(rec);
     }

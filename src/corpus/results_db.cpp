@@ -344,19 +344,12 @@ ResultsDb ResultsDb::load(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) throw std::runtime_error("results db: cannot open " + path);
   ResultsDb db;
-  std::string line;
-  std::size_t line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    // Tolerate blank lines (e.g. from `cat`-merged files).
-    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-    try {
-      db.add(row_from_json(json::parse(line)));
-    } catch (const std::exception& e) {
-      throw std::runtime_error("results db " + path + ":" +
-                               std::to_string(line_no) + ": " + e.what());
-    }
-  }
+  db.torn_lines_ = json::for_each_jsonl_line(
+                       in, "results db " + path,
+                       [&db](const std::string& line) {
+                         db.add(row_from_json(json::parse(line)));
+                       })
+                       .torn;
   return db;
 }
 

@@ -107,7 +107,9 @@ struct CampaignSummary {
 class ResultsDb {
  public:
   /// Parses a JSONL file.  Unparseable lines throw (a results db is a
-  /// machine-written artifact; silent row loss would corrupt diffs).
+  /// machine-written artifact; silent row loss would corrupt diffs), except
+  /// a torn final line left by a killed writer, which is skipped and
+  /// counted in torn_lines() (json::for_each_jsonl_line).
   static ResultsDb load(const std::string& path);
 
   void add(RunRow row) { rows_.push_back(std::move(row)); }
@@ -125,6 +127,8 @@ class ResultsDb {
       const;
   /// Distinct engine specs, in first-seen order.
   [[nodiscard]] std::vector<std::string> engines() const;
+  /// Torn final lines load() skipped (0 or 1).
+  [[nodiscard]] std::size_t torn_lines() const { return torn_lines_; }
 
   /// Rewrites the whole db to `path` (one line per row).
   void save(const std::string& path) const;
@@ -152,6 +156,7 @@ class ResultsDb {
 
  private:
   std::vector<RunRow> rows_;
+  std::size_t torn_lines_ = 0;
 };
 
 struct DiffOptions {

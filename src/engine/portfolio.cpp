@@ -114,6 +114,7 @@ PortfolioResult run_portfolio(const ts::TransitionSystem& ts,
   // worker writes only its own element, which must be a distinct object).
   std::vector<char> quarantined(backends.size(), 0);
   std::vector<std::string> quarantine_reasons(backends.size());
+  std::vector<std::optional<cert::Certificate>> certificates(backends.size());
 
   auto worker = [&](std::size_t i) {
     EngineResult r = backends[i]->check(deadline, &stop);
@@ -125,12 +126,12 @@ PortfolioResult run_portfolio(const ts::TransitionSystem& ts,
       bool accept = true;
       if (options.certify) {
         std::string why;
-        const std::optional<cert::Certificate> c = cert::from_verdict(
+        std::optional<cert::Certificate> c = cert::from_verdict(
             ts, r.verdict, r.invariant, r.trace, r.kind_k, r.kind_simple_path,
             options.property_index, &why);
         ++r.stats.num_cert_checks;
         if (c.has_value()) {
-          const ic3::CheckOutcome outcome =
+          const cert::CheckOutcome outcome =
               cert::check(ts, *c, options.seed + i + 1);
           if (!outcome.ok) {
             accept = false;
@@ -139,7 +140,9 @@ PortfolioResult run_portfolio(const ts::TransitionSystem& ts,
         } else {
           accept = false;
         }
-        if (!accept) {
+        if (accept) {
+          certificates[i] = std::move(c);
+        } else {
           ++r.stats.num_cert_failures;
           quarantined[i] = 1;
           quarantine_reasons[i] = why;
@@ -201,6 +204,7 @@ PortfolioResult run_portfolio(const ts::TransitionSystem& ts,
   if (win >= 0) {
     out.winner = names[static_cast<std::size_t>(win)];
     out.result = std::move(results[static_cast<std::size_t>(win)]);
+    out.certificate = std::move(certificates[static_cast<std::size_t>(win)]);
     PILOT_INFO("portfolio: " << out.winner << " wins with "
                              << ic3::to_string(out.result.verdict) << " in "
                              << out.result.seconds << "s");

@@ -22,9 +22,11 @@
 ///     state, both atomic.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "cert/certificate.hpp"
 #include "engine/backend.hpp"
 #include "engine/lemma_exchange.hpp"
 #include "obs/progress.hpp"
@@ -99,6 +101,9 @@ struct PortfolioResult {
   EngineResult result;
   /// Name of the winning backend; empty when there is no winner.
   std::string winner;
+  /// The winner's certificate, which already passed the certify gate;
+  /// nullopt when certify was off or nobody won.
+  std::optional<cert::Certificate> certificate;
   std::vector<BackendTiming> timings;
   /// Hub-level exchange counters; all zero when share_lemmas was off.
   LemmaExchangeStats exchange;

@@ -2,82 +2,7 @@
 
 #include <sstream>
 
-#include "aig/simulation.hpp"
-#include "sat/solver.hpp"
-
 namespace pilot::ic3 {
-namespace {
-
-CheckOutcome failure(std::string reason) {
-  return CheckOutcome{false, std::move(reason)};
-}
-
-}  // namespace
-
-CheckOutcome check_trace(const ts::TransitionSystem& ts, const Trace& trace) {
-  if (trace.states.empty()) return failure("empty trace");
-  if (trace.inputs.size() != trace.states.size()) {
-    return failure("trace needs one input vector per state");
-  }
-  const aig::Aig& circuit = ts.aig();
-
-  // Concrete initial state: defined reset values, overridden by the first
-  // cube (consistent because the engine checked intersection with I);
-  // unconstrained latches default to 0.
-  if (!ts.cube_intersects_init(trace.states[0].lits())) {
-    return failure("first trace cube does not intersect the initial states");
-  }
-  aig::BitSimulator sim(circuit);
-  sim.reset();
-  for (const Lit l : trace.states[0]) {
-    const int idx = ts.latch_index_of(l.var());
-    if (idx < 0) return failure("trace cube contains a non-state literal");
-    sim.set_latch(circuit.latches()[static_cast<std::size_t>(idx)],
-                  l.sign() ? 0 : ~0ULL);
-  }
-
-  for (std::size_t step = 0; step < trace.states.size(); ++step) {
-    // The current concrete state must lie inside the step's cube.
-    for (const Lit l : trace.states[step]) {
-      const int idx = ts.latch_index_of(l.var());
-      if (idx < 0) return failure("trace cube contains a non-state literal");
-      const std::uint64_t v =
-          sim.latch_value(circuit.latches()[static_cast<std::size_t>(idx)]);
-      const bool bit = (v & 1ULL) != 0;
-      if (bit == l.sign()) {
-        std::ostringstream oss;
-        oss << "state " << step << " leaves its trace cube";
-        return failure(oss.str());
-      }
-    }
-    // Apply the recorded inputs (unconstrained inputs default to 0).
-    std::vector<std::uint64_t> input_bits(circuit.num_inputs(), 0);
-    for (const Lit l : trace.inputs[step]) {
-      // Find which input this variable is; input vars are the AIG node ids.
-      bool matched = false;
-      for (std::size_t i = 0; i < circuit.num_inputs(); ++i) {
-        if (ts.input_var(i) == l.var()) {
-          input_bits[i] = l.sign() ? 0 : ~0ULL;
-          matched = true;
-          break;
-        }
-      }
-      if (!matched) return failure("trace input literal is not an input var");
-    }
-    sim.compute(input_bits);
-    if (step + 1 == trace.states.size()) {
-      // Final step must raise the bad cone.
-      const Lit bad = ts.bad();
-      const std::uint64_t v =
-          sim.value(aig::AigLit::make(static_cast<std::uint32_t>(bad.var()),
-                                      bad.sign()));
-      if ((v & 1ULL) == 0) return failure("bad signal not raised at the end");
-    } else {
-      sim.latch_step();
-    }
-  }
-  return CheckOutcome{};
-}
 
 std::string to_aiger_witness(const ts::TransitionSystem& ts,
                              const Trace& trace,
@@ -115,43 +40,6 @@ std::string to_aiger_witness(const ts::TransitionSystem& ts,
   }
   oss << ".\n";
   return oss.str();
-}
-
-CheckOutcome check_invariant(const ts::TransitionSystem& ts,
-                             const InductiveInvariant& inv) {
-  // (a) Initiation: each clause must hold in I.  Clause ¬cube fails in I
-  //     iff cube intersects I (I is a cube, so this syntactic test is exact).
-  for (const Cube& c : inv.lemma_cubes) {
-    if (ts.cube_intersects_init(c.lits())) {
-      return failure("initiation fails for lemma " + c.to_string());
-    }
-  }
-
-  // Independent solver with T and all invariant clauses.
-  sat::Solver solver;
-  ts.install(solver);
-  for (const Cube& c : inv.lemma_cubes) {
-    solver.add_clause(c.negated_lits());
-  }
-
-  // (c) Property: INV ∧ bad must be unsatisfiable.
-  {
-    const std::vector<Lit> assumptions{ts.bad()};
-    if (solver.solve(assumptions) != sat::SolveResult::kUnsat) {
-      return failure("invariant does not exclude the bad cone");
-    }
-  }
-
-  // (b) Consecution: for each clause c, INV ∧ T ∧ ¬c′ must be UNSAT.
-  for (const Cube& c : inv.lemma_cubes) {
-    std::vector<Lit> assumptions;
-    assumptions.reserve(c.size());
-    for (const Lit l : c) assumptions.push_back(ts.prime(l));
-    if (solver.solve(assumptions) != sat::SolveResult::kUnsat) {
-      return failure("consecution fails for lemma " + c.to_string());
-    }
-  }
-  return CheckOutcome{};
 }
 
 }  // namespace pilot::ic3

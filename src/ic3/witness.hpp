@@ -1,5 +1,5 @@
 /// \file witness.hpp
-/// Verifiable certificates for both verdicts.
+/// The engines' evidence for both verdicts.
 ///
 /// UNSAFE → a `Trace`: a chain of cubes with the inputs driving each step.
 /// Lifting guarantees the chain is *universal*: every concrete state in
@@ -9,8 +9,10 @@
 /// in the first cube.
 ///
 /// SAFE → an `InductiveInvariant`: the clause set of the fixpoint frame.
-/// Certification re-checks initiation, consecution, and property with an
-/// independent SAT solver.
+///
+/// Neither is checked here: cert::from_trace / cert::from_invariant turn
+/// them into certificates and cert::check (cert/certificate.hpp) is the one
+/// checker.
 #pragma once
 
 #include <string>
@@ -37,30 +39,15 @@ struct InductiveInvariant {
   [[nodiscard]] std::size_t num_clauses() const { return lemma_cubes.size(); }
 };
 
-/// Outcome of a certificate check; `ok` plus a human-readable reason.
-struct CheckOutcome {
-  bool ok = true;
-  std::string reason;
-};
-
-/// Replays the trace on the AIG with a concrete initial state drawn from
-/// states[0] ∧ I and checks that the bad signal fires at the end.
-CheckOutcome check_trace(const ts::TransitionSystem& ts, const Trace& trace);
-
-/// Certifies the invariant with an independent solver:
-///   (a) I ⇒ INV, (b) INV ∧ T ⇒ INV′, (c) INV ∧ bad unsatisfiable.
-CheckOutcome check_invariant(const ts::TransitionSystem& ts,
-                             const InductiveInvariant& inv);
-
 /// Renders a concrete counterexample in the AIGER/HWMCC witness format:
 ///   1          (property violated)
 ///   b<index>   (which bad property)
 ///   <latch reset line>      e.g. 00100
 ///   <one input line per step>
 ///   .
-/// The trace cubes are concretized with the same defaults the checker
-/// uses (reset values, then cube literals, then 0), so the emitted witness
-/// replays on any AIGER simulator.
+/// The trace cubes are concretized with fixed defaults (reset values, then
+/// cube literals, then 0), so the emitted witness replays on any AIGER
+/// simulator.
 std::string to_aiger_witness(const ts::TransitionSystem& ts,
                              const Trace& trace,
                              std::size_t property_index = 0);

@@ -74,7 +74,8 @@ class VerdictCache {
   /// Memory-only cache.
   VerdictCache() = default;
   /// Backed by a JSONL file: existing entries are loaded (a missing file is
-  /// an empty cache, unparseable lines throw), stores append to it.
+  /// an empty cache, unparseable lines throw except a torn final line,
+  /// which is skipped and counted in torn_lines()), stores append to it.
   explicit VerdictCache(const std::string& path);
 
   /// The serving path.  Returns the entry for `hash` only if its stored
@@ -102,6 +103,8 @@ class VerdictCache {
   std::size_t ingest(const corpus::ResultsDb& db);
 
   [[nodiscard]] std::size_t size() const;
+  /// Torn final lines the constructor skipped (0 or 1).
+  [[nodiscard]] std::size_t torn_lines() const { return torn_lines_; }
   [[nodiscard]] const CacheStats& stats() const { return stats_; }
   /// One-line human-readable counter summary ("N entries, H hits, ...").
   [[nodiscard]] std::string summary() const;
@@ -113,6 +116,11 @@ class VerdictCache {
   std::unordered_map<std::string, CacheEntry> entries_;
   std::string path_;  // empty = memory-only
   CacheStats stats_;
+  std::size_t torn_lines_ = 0;
+  // How the next append starts a fresh line (both guarded by mutex_):
+  // truncate a torn tail away, or end an intact but unterminated line.
+  std::optional<std::uint64_t> torn_offset_;
+  bool needs_newline_ = false;
 };
 
 /// Serialization of one entry (JSONL line), shared with the cache file

@@ -3,7 +3,10 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <istream>
 #include <stdexcept>
+
+#include "util/log.hpp"
 
 namespace pilot::json {
 
@@ -295,6 +298,35 @@ std::string escape(const std::string& text) {
   }
   out += '"';
   return out;
+}
+
+JsonlRead for_each_jsonl_line(
+    std::istream& in, const std::string& source,
+    const std::function<void(const std::string&)>& on_line) {
+  JsonlRead read;
+  std::string line;
+  std::size_t line_no = 0;
+  std::uint64_t offset = 0;
+  while (std::getline(in, line)) {
+    ++line_no;
+    // getline only hits end-of-file on a line with no trailing newline.
+    read.ends_mid_line = in.eof();
+    read.last_line_offset = offset;
+    offset += line.size() + (read.ends_mid_line ? 0 : 1);
+    // Tolerate blank lines (e.g. from `cat`-merged files).
+    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
+    try {
+      on_line(line);
+    } catch (const std::exception& e) {
+      const std::string where = source + ":" + std::to_string(line_no);
+      if (!read.ends_mid_line) {
+        throw std::runtime_error(where + ": " + e.what());
+      }
+      PILOT_WARN(where << ": skipping torn final line (" << e.what() << ")");
+      ++read.torn;
+    }
+  }
+  return read;
 }
 
 }  // namespace pilot::json

@@ -10,6 +10,8 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <iosfwd>
 #include <map>
 #include <string>
 #include <type_traits>
@@ -95,5 +97,26 @@ class Value {
 
 /// Serializes a string with JSON escaping, including the quotes.
 [[nodiscard]] std::string escape(const std::string& text);
+
+/// What for_each_jsonl_line read.
+struct JsonlRead {
+  /// Unparsable final lines skipped as a torn tail (0 or 1).
+  std::size_t torn = 0;
+  /// The last line has no trailing newline: an append must start a fresh
+  /// line first or it joins that line.
+  bool ends_mid_line = false;
+  /// Byte offset where the last line starts; truncating there drops a
+  /// torn tail.
+  std::uint64_t last_line_offset = 0;
+};
+
+/// Calls `on_line` on every non-blank line of a JSONL stream.  A line
+/// `on_line` throws on fails the read as "<source>:<line>: <what>" —
+/// except a final line without a trailing newline, which is what a writer
+/// killed mid-append leaves behind: that torn tail is skipped with a
+/// warning and counted instead.
+JsonlRead for_each_jsonl_line(
+    std::istream& in, const std::string& source,
+    const std::function<void(const std::string&)>& on_line);
 
 }  // namespace pilot::json

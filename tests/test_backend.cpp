@@ -6,9 +6,9 @@
 #include <algorithm>
 #include <memory>
 
+#include "cert/certificate.hpp"
 #include "circuits/families.hpp"
 #include "engine/backend.hpp"
-#include "ic3/witness.hpp"
 #include "ts/transition_system.hpp"
 
 namespace pilot::engine {
@@ -88,7 +88,9 @@ TEST(Backend, EveryBuiltinAnswersBothVerdicts) {
       ASSERT_EQ(r.verdict, ic3::Verdict::kUnsafe) << name;
       // Every engine family produces a certifiable counterexample trace.
       ASSERT_TRUE(r.trace.has_value()) << name;
-      EXPECT_TRUE(ic3::check_trace(unsafe_ts, *r.trace).ok) << name;
+      EXPECT_TRUE(
+          cert::check(unsafe_ts, cert::from_trace(unsafe_ts, *r.trace)).ok)
+          << name;
     }
   }
 }

@@ -7,7 +7,6 @@
 #include "bmc/kinduction.hpp"
 #include "cert/certificate.hpp"
 #include "circuits/families.hpp"
-#include "ic3/witness.hpp"
 #include "ts/transition_system.hpp"
 
 namespace pilot::bmc {
@@ -55,7 +54,8 @@ TEST(Bmc, TraceIsValid) {
   const ts::TransitionSystem ts = ts::TransitionSystem::from_aig(cc.aig);
   const BmcResult r = run_bmc(ts, BmcOptions{});
   ASSERT_TRUE(r.trace.has_value());
-  const ic3::CheckOutcome out = ic3::check_trace(ts, *r.trace);
+  const cert::CheckOutcome out =
+      cert::check(ts, cert::from_trace(ts, *r.trace));
   EXPECT_TRUE(out.ok) << out.reason;
 }
 
@@ -108,9 +108,9 @@ TEST(Kinduction, SimplePathCompletesOnFiniteSystems) {
 
 TEST(Kinduction, UnsafeWitnessesReplayUnderBitSimulator) {
   // Property: every counterexample extract_unrolled_trace produces from the
-  // base-case model must replay concretely — once through ic3::check_trace
-  // and once solver-free through the witness-certificate path (an HWMCC
-  // rendering driven through aig::BitSimulator).
+  // base-case model must replay concretely, solver-free, through the
+  // witness-certificate path (an HWMCC rendering driven through
+  // aig::BitSimulator).
   std::vector<circuits::CircuitCase> cases;
   cases.push_back(circuits::counter_unsafe(4, 9));
   cases.push_back(circuits::counter_enable_unsafe(3, 5));
@@ -125,10 +125,8 @@ TEST(Kinduction, UnsafeWitnessesReplayUnderBitSimulator) {
     const KindResult r = run_kinduction(ts, KindOptions{});
     ASSERT_EQ(r.verdict, KindVerdict::kUnsafe) << cc.name;
     ASSERT_TRUE(r.trace.has_value()) << cc.name;
-    const ic3::CheckOutcome replay = ic3::check_trace(ts, *r.trace);
-    EXPECT_TRUE(replay.ok) << cc.name << ": " << replay.reason;
     const cert::Certificate cert = cert::from_trace(ts, *r.trace);
-    const ic3::CheckOutcome certified = cert::check(ts, cert);
+    const cert::CheckOutcome certified = cert::check(ts, cert);
     EXPECT_TRUE(certified.ok) << cc.name << ": " << certified.reason;
   }
 }

@@ -17,7 +17,6 @@
 #include "corpus/corpus.hpp"
 #include "engine/backend.hpp"
 #include "engine/portfolio.hpp"
-#include "ic3/witness.hpp"
 #include "sat/solver.hpp"
 #include "ts/transition_system.hpp"
 #include "ts/unroller.hpp"
@@ -53,7 +52,7 @@ TEST(Cert, InvariantCertRoundTripsAndChecks) {
   ASSERT_TRUE(cert.has_value());
   EXPECT_EQ(cert->kind, Certificate::Kind::kInvariant);
   EXPECT_EQ(cert->num_latches, ts.num_latches());
-  const ic3::CheckOutcome ok = check(ts, *cert, /*seed=*/7);
+  const CheckOutcome ok = check(ts, *cert, /*seed=*/7);
   EXPECT_TRUE(ok.ok) << ok.reason;
 
   // Text round trip: parse(to_text(c)) reproduces every field and the
@@ -78,7 +77,7 @@ TEST(Cert, HandCorruptedInvariantCertRejected) {
 
   // (l0) ∧ (¬l0) admits no state at all: initiation must fail, loudly.
   cert->clauses = {{1}, {-1}};
-  const ic3::CheckOutcome out = check(ts, *cert);
+  const CheckOutcome out = check(ts, *cert);
   EXPECT_FALSE(out.ok);
   EXPECT_NE(out.reason.find("initiation"), std::string::npos) << out.reason;
 
@@ -137,13 +136,13 @@ TEST(Cert, KinductionCertChecksAndWrongBoundRejected) {
   std::optional<Certificate> cert = emit(ts, r);
   ASSERT_TRUE(cert.has_value());
   EXPECT_EQ(cert->kind, Certificate::Kind::kKinduction);
-  const ic3::CheckOutcome ok = check(ts, *cert, /*seed=*/3);
+  const CheckOutcome ok = check(ts, *cert, /*seed=*/3);
   EXPECT_TRUE(ok.ok) << ok.reason;
 
   // The shift register is not 0-inductive: a state with the second-to-last
   // stage set reaches bad in one step, so the shrunken bound must fail.
   cert->k = 0;
-  const ic3::CheckOutcome rejected = check(ts, *cert);
+  const CheckOutcome rejected = check(ts, *cert);
   EXPECT_FALSE(rejected.ok);
   EXPECT_NE(rejected.reason.find("step case"), std::string::npos)
       << rejected.reason;
@@ -159,7 +158,7 @@ TEST(Cert, WitnessCertReplaysAndCorruptionsRejected) {
   const std::optional<Certificate> cert = emit(ts, r);
   ASSERT_TRUE(cert.has_value());
   EXPECT_EQ(cert->kind, Certificate::Kind::kWitness);
-  const ic3::CheckOutcome ok = check(ts, *cert);
+  const CheckOutcome ok = check(ts, *cert);
   EXPECT_TRUE(ok.ok) << ok.reason;
 
   // Corrupting the initial state must be caught even though the replay
@@ -171,7 +170,7 @@ TEST(Cert, WitnessCertReplaysAndCorruptionsRejected) {
     const std::size_t start = c.witness.find('\n', latch_line) + 1;
     ASSERT_EQ(c.witness[start], '0');
     c.witness[start] = '1';
-    const ic3::CheckOutcome out = check(ts, c);
+    const CheckOutcome out = check(ts, c);
     EXPECT_FALSE(out.ok);
     EXPECT_NE(out.reason.find("reset value"), std::string::npos)
         << out.reason;
@@ -183,7 +182,7 @@ TEST(Cert, WitnessCertReplaysAndCorruptionsRejected) {
     const std::size_t dot = c.witness.rfind("\n.");
     const std::size_t prev = c.witness.rfind('\n', dot - 1);
     c.witness = c.witness.substr(0, prev) + c.witness.substr(dot);
-    const ic3::CheckOutcome out = check(ts, c);
+    const CheckOutcome out = check(ts, c);
     EXPECT_FALSE(out.ok);
     EXPECT_NE(out.reason.find("bad signal"), std::string::npos)
         << out.reason;
@@ -251,7 +250,7 @@ TEST(Cert, FixtureCorpusVerdictsAllCertify) {
     std::string why;
     const std::optional<Certificate> cert = emit(ts, r, &why);
     ASSERT_TRUE(cert.has_value()) << c.name << ": " << why;
-    const ic3::CheckOutcome ok = check(ts, *cert, /*seed=*/42);
+    const CheckOutcome ok = check(ts, *cert, /*seed=*/42);
     EXPECT_TRUE(ok.ok) << c.name << ": " << ok.reason;
     ++certified;
 
@@ -295,8 +294,41 @@ class LyingBackend final : public engine::Backend {
   std::optional<ic3::InductiveInvariant> invariant_;
 };
 
+/// A backend that claims UNSAFE on shift_register(4, true) with a trace
+/// that drives the input high at step 0.  The 1 reaches the last stage
+/// four steps later and raises the bad cone, but the input is constrained
+/// to 0, so the trace leaves the constrained state space at step 0.
+class ConstraintBreakingBackend final : public engine::Backend {
+ public:
+  explicit ConstraintBreakingBackend(const ts::TransitionSystem& ts) {
+    for (int step = 0; step < 5; ++step) {
+      trace_.states.push_back(ic3::Cube{});
+      trace_.inputs.push_back({});
+    }
+    trace_.inputs[0].push_back(sat::Lit::make(ts.input_var(0)));
+  }
+  [[nodiscard]] const std::string& name() const override {
+    static const std::string kName = "lying-unsafe-constraint";
+    return kName;
+  }
+  engine::EngineResult check(const Deadline&, const CancelToken*) override {
+    engine::EngineResult r;
+    r.verdict = ic3::Verdict::kUnsafe;
+    r.trace = trace_;
+    return r;
+  }
+
+ private:
+  ic3::Trace trace_;
+};
+
 void register_liars() {
   static const bool once = [] {
+    engine::register_backend(
+        "lying-unsafe-constraint",
+        [](const ts::TransitionSystem& ts, const engine::BackendContext&) {
+          return std::make_unique<ConstraintBreakingBackend>(ts);
+        });
     engine::register_backend(
         "lying-safe-bare",
         [](const ts::TransitionSystem& ts, const engine::BackendContext&) {
@@ -373,6 +405,37 @@ TEST(PortfolioQuarantine, CertifyOffAcceptsTheLie) {
   const engine::PortfolioResult pr = engine::run_portfolio(ts, po);
   EXPECT_EQ(pr.result.verdict, ic3::Verdict::kSafe);
   EXPECT_EQ(pr.winner, "lying-safe-bare");
+}
+
+// --- check_ts certification ------------------------------------------------
+
+TEST(CheckTsCertify, ConstraintBreakingTraceIsRejected) {
+  register_liars();
+  const auto cc = circuits::shift_register(4, /*constrain_input_zero=*/true);
+  const ts::TransitionSystem ts = ts::TransitionSystem::from_aig(cc.aig);
+  check::CheckOptions co;
+  co.engine_spec = "lying-unsafe-constraint";
+  const check::CheckResult r = check::check_ts(ts, co);
+  EXPECT_EQ(r.verdict, ic3::Verdict::kUnsafe);
+  EXPECT_FALSE(r.witness_checked);
+  EXPECT_NE(r.witness_error.find("constraint at step 0"), std::string::npos)
+      << r.witness_error;
+  EXPECT_EQ(r.stats.num_cert_checks, 1u);
+  EXPECT_EQ(r.stats.num_cert_failures, 1u);
+}
+
+TEST(CheckTsCertify, VerdictWithoutPayloadIsRejected) {
+  register_liars();
+  const auto cc = circuits::counter_unsafe(3, 5);
+  const ts::TransitionSystem ts = ts::TransitionSystem::from_aig(cc.aig);
+  check::CheckOptions co;
+  co.engine_spec = "lying-safe-bare";
+  const check::CheckResult r = check::check_ts(ts, co);
+  EXPECT_EQ(r.verdict, ic3::Verdict::kSafe);
+  EXPECT_FALSE(r.witness_checked);
+  EXPECT_FALSE(r.certificate.has_value());
+  EXPECT_NE(r.witness_error.find("neither"), std::string::npos)
+      << r.witness_error;
 }
 
 }  // namespace

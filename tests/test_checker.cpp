@@ -1,6 +1,5 @@
-/// Check-facade tests: engine-kind mapping, the paper-configuration table,
-/// option plumbing (budgets, overrides), and witness propagation through
-/// CheckResult.
+/// Check-facade tests: the paper-configuration table, option plumbing
+/// (budgets, overrides), and certificate propagation through CheckResult.
 #include <gtest/gtest.h>
 
 #include "check/checker.hpp"
@@ -10,27 +9,6 @@
 
 namespace pilot::check {
 namespace {
-
-TEST(Checker, EngineKindStringsRoundTrip) {
-  for (const EngineKind k :
-       {EngineKind::kIc3Down, EngineKind::kIc3DownPl, EngineKind::kIc3Ctg,
-        EngineKind::kIc3CtgPl, EngineKind::kIc3Cav23, EngineKind::kPdr,
-        EngineKind::kBmc, EngineKind::kKinduction, EngineKind::kPortfolio}) {
-    EXPECT_EQ(engine_kind_from_string(to_string(k)), k);
-  }
-  EXPECT_THROW((void)engine_kind_from_string("nope"), std::invalid_argument);
-}
-
-TEST(Checker, EnumKindsResolveInBackendRegistry) {
-  // The enum is a shim over the registry: every kind except kPortfolio
-  // (which is a scheduler, not a backend) must name a registered backend.
-  for (const EngineKind k :
-       {EngineKind::kIc3Down, EngineKind::kIc3DownPl, EngineKind::kIc3Ctg,
-        EngineKind::kIc3CtgPl, EngineKind::kIc3Cav23, EngineKind::kPdr,
-        EngineKind::kBmc, EngineKind::kKinduction}) {
-    EXPECT_TRUE(engine::backend_registered(to_string(k))) << to_string(k);
-  }
-}
 
 TEST(Checker, EngineSpecSelectsBackend) {
   // k-induction (unlike BMC) can prove the constrained shift register safe.
@@ -56,28 +34,28 @@ TEST(Checker, PaperConfigurationsMatchTable1Order) {
   }
 }
 
-TEST(Checker, ConfigForSetsTheRightKnobs) {
-  const ic3::Config down = config_for(EngineKind::kIc3Down, 1);
+TEST(Checker, PaperConfigurationsSetTheRightKnobs) {
+  using engine::ic3_config_for;
+  const ic3::Config down = ic3_config_for("ic3-down", 1);
   EXPECT_EQ(down.gen_mode, ic3::GenMode::kDown);
   EXPECT_FALSE(down.predict_lemmas);
 
-  const ic3::Config down_pl = config_for(EngineKind::kIc3DownPl, 1);
+  const ic3::Config down_pl = ic3_config_for("ic3-down-pl", 1);
   EXPECT_EQ(down_pl.gen_mode, ic3::GenMode::kDown);
   EXPECT_TRUE(down_pl.predict_lemmas);
 
-  const ic3::Config ctg_pl = config_for(EngineKind::kIc3CtgPl, 1);
+  const ic3::Config ctg_pl = ic3_config_for("ic3-ctg-pl", 1);
   EXPECT_EQ(ctg_pl.gen_mode, ic3::GenMode::kCtg);
   EXPECT_TRUE(ctg_pl.predict_lemmas);
 
-  const ic3::Config cav = config_for(EngineKind::kIc3Cav23, 1);
+  const ic3::Config cav = ic3_config_for("ic3-cav23", 1);
   EXPECT_EQ(cav.gen_mode, ic3::GenMode::kCav23);
 
-  const ic3::Config pdr = config_for(EngineKind::kPdr, 1);
+  const ic3::Config pdr = ic3_config_for("pdr", 1);
   EXPECT_EQ(pdr.gen_mode, ic3::GenMode::kDown);
   EXPECT_EQ(pdr.ctg_max_ctgs, 0);
   EXPECT_EQ(pdr.lift_mode, ic3::Config::LiftMode::kTernary);
 
-  EXPECT_THROW((void)config_for(EngineKind::kBmc, 1), std::invalid_argument);
 }
 
 TEST(Checker, ResultCarriesVerifiedTrace) {
@@ -103,6 +81,32 @@ TEST(Checker, ResultCarriesVerifiedInvariant) {
   EXPECT_FALSE(r.trace.has_value());
 }
 
+TEST(Checker, KinductionSafeVerdictIsCertified) {
+  const auto cc = circuits::shift_register(5, true);
+  CheckOptions opts;
+  opts.engine_spec = "kind";
+  opts.budget_ms = 30000;
+  const CheckResult r = check_aig(cc.aig, opts);
+  ASSERT_EQ(r.verdict, ic3::Verdict::kSafe);
+  EXPECT_TRUE(r.witness_checked) << r.witness_error;
+  ASSERT_TRUE(r.certificate.has_value());
+  EXPECT_EQ(r.certificate->kind, cert::Certificate::Kind::kKinduction);
+  EXPECT_EQ(r.stats.num_cert_checks, 1u);
+}
+
+TEST(Checker, VerifyWitnessOffBuildsButDoesNotCheck) {
+  const auto cc = circuits::token_ring_safe(4);
+  CheckOptions opts;
+  opts.engine_spec = "ic3-ctg";
+  opts.verify_witness = false;
+  const CheckResult r = check_aig(cc.aig, opts);
+  ASSERT_EQ(r.verdict, ic3::Verdict::kSafe);
+  EXPECT_FALSE(r.witness_checked);
+  EXPECT_TRUE(r.witness_error.empty());
+  ASSERT_TRUE(r.certificate.has_value());
+  EXPECT_EQ(r.stats.num_cert_checks, 0u);
+}
+
 TEST(Checker, BmcProducesTraceButCannotProve) {
   CheckOptions opts;
   opts.engine_spec = "bmc";
@@ -123,7 +127,7 @@ TEST(Checker, OverridesTakePrecedence) {
   const auto cc = circuits::counter_wrap_safe(5, 16, 30);
   CheckOptions opts;
   opts.engine_spec = "ic3-ctg-pl";
-  ic3::Config override_cfg = config_for(EngineKind::kIc3CtgPl, 0);
+  ic3::Config override_cfg = engine::ic3_config_for("ic3-ctg-pl", 0);
   override_cfg.predict_lemmas = false;
   opts.ic3_overrides = override_cfg;
   const CheckResult r = check_aig(cc.aig, opts);

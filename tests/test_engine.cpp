@@ -5,6 +5,7 @@
 
 #include <thread>
 
+#include "cert/certificate.hpp"
 #include "circuits/families.hpp"
 #include "ic3/engine.hpp"
 #include "ts/transition_system.hpp"
@@ -40,7 +41,7 @@ TEST_P(EngineAllModes, SafeCounterProvedWithCertificate) {
   ASSERT_EQ(r.verdict, Verdict::kSafe);
   ASSERT_TRUE(r.invariant.has_value());
   const ts::TransitionSystem ts = ts::TransitionSystem::from_aig(cc.aig);
-  EXPECT_TRUE(check_invariant(ts, *r.invariant).ok);
+  EXPECT_TRUE(cert::check(ts, cert::from_invariant(ts, *r.invariant)).ok);
 }
 
 TEST_P(EngineAllModes, UnsafeCounterFoundWithTrace) {
@@ -49,7 +50,7 @@ TEST_P(EngineAllModes, UnsafeCounterFoundWithTrace) {
   ASSERT_EQ(r.verdict, Verdict::kUnsafe);
   ASSERT_TRUE(r.trace.has_value());
   const ts::TransitionSystem ts = ts::TransitionSystem::from_aig(cc.aig);
-  EXPECT_TRUE(check_trace(ts, *r.trace).ok);
+  EXPECT_TRUE(cert::check(ts, cert::from_trace(ts, *r.trace)).ok);
 }
 
 TEST_P(EngineAllModes, TokenRingInvariant) {
@@ -97,7 +98,7 @@ TEST(Engine, ZeroStepCounterexample) {
   ASSERT_TRUE(r.trace.has_value());
   EXPECT_EQ(r.trace->length(), 1u);
   const ts::TransitionSystem ts = ts::TransitionSystem::from_aig(cc.aig);
-  EXPECT_TRUE(check_trace(ts, *r.trace).ok);
+  EXPECT_TRUE(cert::check(ts, cert::from_trace(ts, *r.trace)).ok);
 }
 
 TEST(Engine, CombinationalCircuitSafeAndUnsafe) {
@@ -230,7 +231,7 @@ TEST(Engine, AllLiftModesStaySound) {
     const Result r = run(cc, cfg);
     ASSERT_EQ(r.verdict, Verdict::kUnsafe);
     const ts::TransitionSystem ts = ts::TransitionSystem::from_aig(cc.aig);
-    EXPECT_TRUE(check_trace(ts, *r.trace).ok);
+    EXPECT_TRUE(cert::check(ts, cert::from_trace(ts, *r.trace)).ok);
 
     const Result rs = run(circuits::token_ring_safe(5), cfg);
     EXPECT_EQ(rs.verdict, Verdict::kSafe);
@@ -252,7 +253,7 @@ TEST(Engine, UnsafeTraceEndsInBadAndStartsInInit) {
   ASSERT_TRUE(r.trace.has_value());
   const ts::TransitionSystem ts = ts::TransitionSystem::from_aig(cc.aig);
   EXPECT_TRUE(ts.cube_intersects_init(r.trace->states.front().lits()));
-  EXPECT_TRUE(check_trace(ts, *r.trace).ok);
+  EXPECT_TRUE(cert::check(ts, cert::from_trace(ts, *r.trace)).ok);
   // The lock needs exactly 4 correct digits: trace has ≥ 5 states... the
   // bad is observed on the state where progress==4, reached after 4 steps.
   EXPECT_GE(r.trace->length(), 4u);

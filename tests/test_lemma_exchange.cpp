@@ -9,12 +9,12 @@
 #include <memory>
 #include <utility>
 
+#include "cert/certificate.hpp"
 #include "check/checker.hpp"
 #include "circuits/families.hpp"
 #include "engine/lemma_exchange.hpp"
 #include "engine/portfolio.hpp"
 #include "ic3/engine.hpp"
-#include "ic3/witness.hpp"
 #include "ts/transition_system.hpp"
 
 namespace pilot::engine {
@@ -137,7 +137,7 @@ TEST(LemmaExchangeImport, ValidatesBeforeInstallAndRejectsGarbage) {
 
   ASSERT_EQ(r.verdict, ic3::Verdict::kSafe);
   ASSERT_TRUE(r.invariant.has_value());
-  EXPECT_TRUE(ic3::check_invariant(ts, *r.invariant).ok);
+  EXPECT_TRUE(cert::check(ts, cert::from_invariant(ts, *r.invariant)).ok);
   EXPECT_GE(bus.polls_, 1u);
   // The sound lemma was imported (or was already subsumed — either way it
   // never counts as rejected); both garbage lemmas were rejected.
@@ -199,7 +199,8 @@ TEST(PortfolioExchange, VerdictDeterministicOverTenRacesSafe) {
     ASSERT_EQ(pr.result.verdict, ic3::Verdict::kSafe) << "round " << round;
     ASSERT_FALSE(pr.winner.empty());
     if (pr.result.invariant.has_value()) {
-      EXPECT_TRUE(ic3::check_invariant(ts, *pr.result.invariant).ok)
+      EXPECT_TRUE(
+          cert::check(ts, cert::from_invariant(ts, *pr.result.invariant)).ok)
           << "round " << round << " winner " << pr.winner;
     }
   }
@@ -216,7 +217,7 @@ TEST(PortfolioExchange, VerdictDeterministicOverTenRacesUnsafe) {
         run_portfolio(ts, po, Deadline::in_seconds(60));
     ASSERT_EQ(pr.result.verdict, ic3::Verdict::kUnsafe) << "round " << round;
     ASSERT_TRUE(pr.result.trace.has_value());
-    EXPECT_TRUE(ic3::check_trace(ts, *pr.result.trace).ok)
+    EXPECT_TRUE(cert::check(ts, cert::from_trace(ts, *pr.result.trace)).ok)
         << "round " << round << " winner " << pr.winner;
   }
 }

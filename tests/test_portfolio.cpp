@@ -4,10 +4,10 @@
 /// whichever backend wins, and the check::check_ts dispatch path.
 #include <gtest/gtest.h>
 
+#include "cert/certificate.hpp"
 #include "check/checker.hpp"
 #include "circuits/families.hpp"
 #include "engine/portfolio.hpp"
-#include "ic3/witness.hpp"
 #include "ts/transition_system.hpp"
 
 namespace pilot::engine {
@@ -111,7 +111,8 @@ TEST(Portfolio, VerdictDeterministicOverTenRacesSafe) {
     ASSERT_EQ(pr.result.verdict, ic3::Verdict::kSafe) << "round " << round;
     ASSERT_FALSE(pr.winner.empty());
     if (pr.result.invariant.has_value()) {
-      EXPECT_TRUE(ic3::check_invariant(ts, *pr.result.invariant).ok)
+      EXPECT_TRUE(
+          cert::check(ts, cert::from_invariant(ts, *pr.result.invariant)).ok)
           << "round " << round << " winner " << pr.winner;
     }
   }
@@ -127,7 +128,7 @@ TEST(Portfolio, VerdictDeterministicOverTenRacesUnsafe) {
     // Every backend in the default portfolio produces a trace on UNSAFE.
     ASSERT_TRUE(pr.result.trace.has_value())
         << "round " << round << " winner " << pr.winner;
-    EXPECT_TRUE(ic3::check_trace(ts, *pr.result.trace).ok)
+    EXPECT_TRUE(cert::check(ts, cert::from_trace(ts, *pr.result.trace)).ok)
         << "round " << round << " winner " << pr.winner;
   }
 }
@@ -151,6 +152,11 @@ TEST(CheckerPortfolio, DispatchesThroughEngineSpec) {
   ASSERT_TRUE(r.trace.has_value());
   EXPECT_TRUE(r.witness_checked);
   EXPECT_TRUE(r.witness_error.empty());
+  // The race's certify gate checked the winner; check_ts hands that
+  // certificate back instead of checking it a second time.
+  ASSERT_TRUE(r.certificate.has_value());
+  EXPECT_EQ(r.certificate->kind, cert::Certificate::Kind::kWitness);
+  EXPECT_EQ(r.stats.num_cert_checks, 1u);
 }
 
 TEST(CheckerPortfolio, DefaultMixMatchesSingleEngineVerdicts) {

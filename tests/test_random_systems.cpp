@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "bmc/bmc.hpp"
+#include "cert/certificate.hpp"
 #include "circuits/builder.hpp"
 #include "ic3/engine.hpp"
 #include "ts/transition_system.hpp"
@@ -69,10 +70,12 @@ TEST_P(RandomSystems, Ic3AgreesWithBmcAndCertificatesHold) {
 
     // Certificates must check out.
     if (r.verdict == ic3::Verdict::kSafe) {
-      const ic3::CheckOutcome c = ic3::check_invariant(ts, *r.invariant);
+      const cert::CheckOutcome c =
+          cert::check(ts, cert::from_invariant(ts, *r.invariant));
       EXPECT_TRUE(c.ok) << c.reason;
     } else {
-      const ic3::CheckOutcome c = ic3::check_trace(ts, *r.trace);
+      const cert::CheckOutcome c =
+          cert::check(ts, cert::from_trace(ts, *r.trace));
       EXPECT_TRUE(c.ok) << c.reason;
     }
 

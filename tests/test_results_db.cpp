@@ -117,6 +117,29 @@ TEST(ResultsDb, LoadRejectsCorruptRows) {
                std::runtime_error);
 }
 
+TEST(ResultsDb, LoadSkipsATornFinalLine) {
+  TempFile file("torn");
+  const std::string last =
+      to_json(make_row("b", "bmc", ic3::Verdict::kUnsafe, 0.2)).dump();
+  {
+    std::ofstream out(file.str(), std::ios::binary);
+    out << to_json(make_row("a", "bmc", ic3::Verdict::kSafe, 0.1)).dump()
+        << "\n"
+        << last.substr(0, last.size() / 2);  // cut mid-write, no newline
+  }
+  const ResultsDb db = ResultsDb::load(file.str());
+  ASSERT_EQ(db.rows().size(), 1u);
+  EXPECT_EQ(db.rows()[0].record.case_name, "a");
+  EXPECT_EQ(db.torn_lines(), 1u);
+
+  // The same cut line with its newline is corruption, not a torn tail.
+  {
+    std::ofstream out(file.str(), std::ios::binary | std::ios::app);
+    out << "\n";
+  }
+  EXPECT_THROW((void)ResultsDb::load(file.str()), std::runtime_error);
+}
+
 TEST(ResultsDb, MergeKeepsLastRowPerCaseEngineKey) {
   ResultsDb db;
   db.add(make_row("a", "ic3-ctg", ic3::Verdict::kSafe, 0.5));

@@ -1,14 +1,24 @@
-/// Witness checker tests: valid artifacts pass; corrupted traces and
-/// non-inductive "invariants" are rejected with a reason.
+/// Engine evidence through the certificate checker: valid traces and
+/// invariants pass cert::check; corrupted traces and non-inductive
+/// "invariants" are rejected with a reason.
 #include <gtest/gtest.h>
 
+#include "cert/certificate.hpp"
 #include "circuits/families.hpp"
 #include "ic3/engine.hpp"
-#include "ic3/witness.hpp"
 #include "ts/transition_system.hpp"
 
 namespace pilot::ic3 {
 namespace {
+
+cert::CheckOutcome replay(const ts::TransitionSystem& ts, const Trace& t) {
+  return cert::check(ts, cert::from_trace(ts, t));
+}
+
+cert::CheckOutcome certify(const ts::TransitionSystem& ts,
+                           const InductiveInvariant& inv) {
+  return cert::check(ts, cert::from_invariant(ts, inv));
+}
 
 TEST(Witness, ValidTracePasses) {
   const auto cc = circuits::counter_unsafe(4, 5);
@@ -16,13 +26,13 @@ TEST(Witness, ValidTracePasses) {
   Engine engine(ts, {});
   const Result r = engine.check();
   ASSERT_EQ(r.verdict, Verdict::kUnsafe);
-  EXPECT_TRUE(check_trace(ts, *r.trace).ok);
+  EXPECT_TRUE(replay(ts, *r.trace).ok);
 }
 
 TEST(Witness, EmptyTraceRejected) {
   const auto cc = circuits::counter_unsafe(4, 5);
   const ts::TransitionSystem ts = ts::TransitionSystem::from_aig(cc.aig);
-  const CheckOutcome out = check_trace(ts, Trace{});
+  const cert::CheckOutcome out = replay(ts, Trace{});
   EXPECT_FALSE(out.ok);
   EXPECT_FALSE(out.reason.empty());
 }
@@ -35,7 +45,7 @@ TEST(Witness, TraceNotStartingInInitRejected) {
   Trace trace;
   trace.states.push_back(Cube::from_lits(std::move(lits)));
   trace.inputs.push_back({});
-  EXPECT_FALSE(check_trace(ts, trace).ok);
+  EXPECT_FALSE(replay(ts, trace).ok);
 }
 
 TEST(Witness, TraceWithoutBadAtEndRejected) {
@@ -45,7 +55,7 @@ TEST(Witness, TraceWithoutBadAtEndRejected) {
   Trace trace;
   trace.states.push_back(Cube::from_lits({Lit::make(ts.state_var(0), true)}));
   trace.inputs.push_back({});
-  const CheckOutcome out = check_trace(ts, trace);
+  const cert::CheckOutcome out = replay(ts, trace);
   EXPECT_FALSE(out.ok);
 }
 
@@ -56,7 +66,7 @@ TEST(Witness, TruncatedInputsRejected) {
   trace.states.push_back(Cube{});
   trace.states.push_back(Cube{});
   trace.inputs.push_back({});  // one input vector short
-  EXPECT_FALSE(check_trace(ts, trace).ok);
+  EXPECT_FALSE(replay(ts, trace).ok);
 }
 
 TEST(Witness, ValidInvariantPasses) {
@@ -65,7 +75,7 @@ TEST(Witness, ValidInvariantPasses) {
   Engine engine(ts, {});
   const Result r = engine.check();
   ASSERT_EQ(r.verdict, Verdict::kSafe);
-  EXPECT_TRUE(check_invariant(ts, *r.invariant).ok);
+  EXPECT_TRUE(certify(ts, *r.invariant).ok);
 }
 
 TEST(Witness, NonInductiveInvariantRejected) {
@@ -79,7 +89,7 @@ TEST(Witness, NonInductiveInvariantRejected) {
     lits.push_back(Lit::make(ts.state_var(i), ((9u >> i) & 1u) == 0));
   }
   inv.lemma_cubes.push_back(Cube::from_lits(std::move(lits)));
-  const CheckOutcome out = check_invariant(ts, inv);
+  const cert::CheckOutcome out = certify(ts, inv);
   EXPECT_FALSE(out.ok);
   EXPECT_NE(out.reason.find("consecution"), std::string::npos);
 }
@@ -94,7 +104,7 @@ TEST(Witness, InvariantViolatingInitiationRejected) {
     lits.push_back(Lit::make(ts.state_var(i), true));  // count == 0
   }
   inv.lemma_cubes.push_back(Cube::from_lits(std::move(lits)));
-  const CheckOutcome out = check_invariant(ts, inv);
+  const cert::CheckOutcome out = certify(ts, inv);
   EXPECT_FALSE(out.ok);
   EXPECT_NE(out.reason.find("initiation"), std::string::npos);
 }
@@ -104,7 +114,7 @@ TEST(Witness, InvariantNotExcludingBadRejected) {
   const auto cc = circuits::counter_wrap_safe(3, 4, 6);
   const ts::TransitionSystem ts = ts::TransitionSystem::from_aig(cc.aig);
   InductiveInvariant inv;  // empty invariant = ⊤: trivially inductive
-  const CheckOutcome out = check_invariant(ts, inv);
+  const cert::CheckOutcome out = certify(ts, inv);
   EXPECT_FALSE(out.ok);
   EXPECT_NE(out.reason.find("bad"), std::string::npos);
 }
@@ -156,7 +166,7 @@ TEST(Witness, EngineTracesAcrossFamiliesReplay) {
     Engine engine(ts, {});
     const Result r = engine.check();
     ASSERT_EQ(r.verdict, Verdict::kUnsafe) << cc.name;
-    const CheckOutcome out = check_trace(ts, *r.trace);
+    const cert::CheckOutcome out = replay(ts, *r.trace);
     EXPECT_TRUE(out.ok) << cc.name << ": " << out.reason;
   }
 }

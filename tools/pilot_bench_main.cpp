@@ -51,7 +51,6 @@
 #include <sstream>
 
 #include "aig/aiger_io.hpp"
-#include "cert/certificate.hpp"
 #include "check/runner.hpp"
 #include "circuits/families.hpp"
 #include "corpus/bench_diff.hpp"
@@ -509,25 +508,10 @@ FuzzOutcome evaluate_fuzz_case(const FuzzCase& fc,
     const check::CheckResult r = check::check_ts(ts, co);
     if (r.verdict == ic3::Verdict::kUnknown) continue;
     const bool safe = r.verdict == ic3::Verdict::kSafe;
-    if (!r.witness_error.empty()) {
+    if (!r.witness_checked) {
       out.failed = true;
-      out.why = "witness check failed for " + spec + ": " + r.witness_error;
-      return out;
-    }
-    std::string why;
-    const std::optional<cert::Certificate> c =
-        cert::from_verdict(ts, r.verdict, r.invariant, r.trace, r.kind_k,
-                           r.kind_simple_path, /*property_index=*/0, &why);
-    if (!c.has_value()) {
-      out.failed = true;
-      out.why = "no certificate from " + spec + " (" +
-                ic3::to_string(r.verdict) + "): " + why;
-      return out;
-    }
-    const ic3::CheckOutcome checked = cert::check(ts, *c, seed + 17);
-    if (!checked.ok) {
-      out.failed = true;
-      out.why = "certificate from " + spec + " rejected: " + checked.reason;
+      out.why = "certificate from " + spec + " (" +
+                ic3::to_string(r.verdict) + ") rejected: " + r.witness_error;
       return out;
     }
     if (fc.expected_known && safe != fc.cc.expected_safe) {

@@ -192,7 +192,7 @@ int run_certify(int argc, char** argv) {
     }
     const ts::TransitionSystem ts =
         ts::TransitionSystem::from_aig(model, c->property_index);
-    const ic3::CheckOutcome outcome =
+    const cert::CheckOutcome outcome =
         cert::check(ts, *c, static_cast<std::uint64_t>(seed));
     if (!outcome.ok) {
       std::printf("REJECTED\n");
@@ -792,7 +792,10 @@ int main(int argc, char** argv) {
     opts.budget_ms = budget_ms;
     opts.seed = static_cast<std::uint64_t>(seed);
     opts.property_index = static_cast<std::size_t>(property);
-    opts.verify_witness = verify_witness;
+    // --certify and --cache need a checked certificate even with
+    // --no-verify-witness; check_ts checks it once for all three.
+    opts.verify_witness =
+        verify_witness || !certify_out.empty() || !cache_path.empty();
     opts.progress_interval = progress_secs;
     // Build the transition system once; witness rendering reuses it.
     const ts::TransitionSystem ts =
@@ -885,7 +888,7 @@ int main(int argc, char** argv) {
     }
     // A produced-but-invalid witness/invariant is a certification failure
     // (exit 4), distinct from usage/internal errors (exit 3).
-    if (!r.witness_error.empty()) {
+    if (verify_witness && !r.witness_error.empty()) {
       std::fprintf(stderr, "[pilot] WITNESS ERROR: %s\n",
                    r.witness_error.c_str());
       return 4;
@@ -894,23 +897,13 @@ int main(int argc, char** argv) {
       if (r.verdict == ic3::Verdict::kUnknown) {
         std::fprintf(stderr,
                      "[pilot] no certificate written: verdict is UNKNOWN\n");
+      } else if (!r.witness_checked) {
+        std::fprintf(stderr, "[pilot] CERTIFICATION FAILED: %s\n",
+                     r.witness_error.c_str());
+        return 4;
       } else {
-        std::string why;
-        const std::optional<cert::Certificate> c = cert::from_verdict(
-            ts, r.verdict, r.invariant, r.trace, r.kind_k, r.kind_simple_path,
-            opts.property_index, &why);
-        if (!c.has_value()) {
-          std::fprintf(stderr, "[pilot] CERTIFICATION FAILED: %s\n",
-                       why.c_str());
-          return 4;
-        }
-        const ic3::CheckOutcome outcome = cert::check(ts, *c, opts.seed);
-        if (!outcome.ok) {
-          std::fprintf(stderr, "[pilot] CERTIFICATION FAILED: %s\n",
-                       outcome.reason.c_str());
-          return 4;
-        }
-        if (!cert::save(*c, certify_out)) {
+        const cert::Certificate& c = *r.certificate;
+        if (!cert::save(c, certify_out)) {
           std::fprintf(stderr, "pilot: cannot write certificate to %s\n",
                        certify_out.c_str());
           return 3;
@@ -918,10 +911,10 @@ int main(int argc, char** argv) {
         std::fprintf(stderr,
                      "[pilot] certificate (%s) independently checked, "
                      "written to %s\n",
-                     cert::to_string(c->kind), certify_out.c_str());
-        if (c->kind == cert::Certificate::Kind::kInvariant) {
+                     cert::to_string(c.kind), certify_out.c_str());
+        if (c.kind == cert::Certificate::Kind::kInvariant) {
           const std::string circuit_path = certify_out + ".aag";
-          aig::write_aiger_file(cert::certificate_circuit(ts, *c),
+          aig::write_aiger_file(cert::certificate_circuit(ts, c),
                                 circuit_path);
           std::fprintf(stderr,
                        "[pilot] certificate circuit written to %s (3 bad "
@@ -931,27 +924,21 @@ int main(int argc, char** argv) {
       }
     }
     if (cache.has_value() && r.verdict != ic3::Verdict::kUnknown) {
-      std::string why;
-      const std::optional<cert::Certificate> c = cert::from_verdict(
-          ts, r.verdict, r.invariant, r.trace, r.kind_k, r.kind_simple_path,
-          opts.property_index, &why);
-      if (c.has_value() && cert::check(ts, *c, opts.seed).ok) {
+      if (r.witness_checked) {
         serve::CacheEntry entry;
         entry.hash = model_hash;
         entry.verdict = r.verdict;
         entry.engine = engine;
         entry.seconds = r.seconds;
         entry.frames = r.frames;
-        entry.cert_text = cert::to_text(*c);
+        entry.cert_text = cert::to_text(*r.certificate);
         entry.case_name = source;
         entry.timestamp = corpus::now_utc_iso8601();
         cache->store(entry);
       } else {
-        // Not cacheable (no certificate, or it failed its own re-check);
-        // the verdict itself is still reported normally.
+        // Not cacheable: the verdict itself is still reported normally.
         std::fprintf(stderr, "[pilot] verdict not cached: %s\n",
-                     why.empty() ? "certificate re-check failed"
-                                 : why.c_str());
+                     r.witness_error.c_str());
       }
     }
     if (show_stats) {
