@@ -5,9 +5,8 @@
 ///   B. diff-set refinement on failed candidates (line 27) vs naive retry
 ///   C. single-literal candidates (Eq. 6) vs up-to-two-literal extensions
 ///   D. core-shrinking validated predictions vs taking them verbatim
-/// Each variant runs the suite on top of the IC3ref-style (ctg) baseline.
+/// Each variant is one --set patch on top of the IC3ref-pl (ctg) engine.
 #include "bench/bench_common.hpp"
-#include "engine/backend.hpp"
 
 using namespace pilot;
 using namespace pilot::bench;
@@ -16,7 +15,7 @@ namespace {
 
 struct Variant {
   const char* name;
-  ic3::Config cfg;
+  std::vector<std::string> set;  // ic3::ConfigPatch items
 };
 
 }  // namespace
@@ -29,29 +28,13 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  ic3::Config base = engine::ic3_config_for("ic3-ctg-pl", args.seed);
-  std::vector<Variant> variants;
-  variants.push_back({"pl (paper)", base});
-  {
-    ic3::Config c = base;
-    c.clear_failure_push_on_propagate = false;
-    variants.push_back({"A: keep failure_push", c});
-  }
-  {
-    ic3::Config c = base;
-    c.predict_refine_diff = false;
-    variants.push_back({"B: no diff refine", c});
-  }
-  {
-    ic3::Config c = base;
-    c.predict_max_extra_lits = 2;
-    variants.push_back({"C: 2-lit candidates", c});
-  }
-  {
-    ic3::Config c = base;
-    c.predict_core_shrink = true;
-    variants.push_back({"D: core-shrink preds", c});
-  }
+  const std::vector<Variant> variants = {
+      {"pl (paper)", {}},
+      {"A: keep failure_push", {"clear_failure_push_on_propagate=off"}},
+      {"B: no diff refine", {"predict_refine_diff=off"}},
+      {"C: 2-lit candidates", {"predict_max_extra_lits=2"}},
+      {"D: core-shrink preds", {"predict_core_shrink=on"}},
+  };
 
   const std::vector<circuits::CircuitCase> cases =
       circuits::make_suite(args.suite);
@@ -65,31 +48,18 @@ int main(int argc, char** argv) {
     options.budget_ms = args.budget_ms;
     options.jobs = static_cast<std::size_t>(args.jobs);
     options.seed = args.seed;
-
-    // Overrides vary per variant, so drive check_aig per case instead of
-    // run_matrix.
+    options.patch = ic3::ConfigPatch::parse(v.set);
+    // The soundness gate (strict) aborts on a verdict that contradicts
+    // its case's expected status.
     int solved = 0;
     double sum_lp = 0.0;
     double sum_fp = 0.0;
     double sum_adv = 0.0;
     double total_s = 0.0;
     int counted = 0;
-    for (const auto& cc : cases) {
-      check::CheckOptions co;
-      co.engine_spec = "ic3-ctg-pl";
-      co.budget_ms = args.budget_ms;
-      co.seed = args.seed;
-      co.ic3_overrides = v.cfg;
-      const check::CheckResult r = check::check_aig(cc.aig, co);
-      if (r.verdict != ic3::Verdict::kUnknown) {
-        ++solved;
-        const bool got_safe = r.verdict == ic3::Verdict::kSafe;
-        if (got_safe != cc.expected_safe) {
-          std::fprintf(stderr, "SOUNDNESS VIOLATION in ablation on %s\n",
-                       cc.name.c_str());
-          return 2;
-        }
-      }
+    for (const check::RunRecord& r :
+         check::run_matrix(cases, {"ic3-ctg-pl"}, options)) {
+      if (r.solved) ++solved;
       total_s += r.seconds;
       if (r.stats.num_generalizations > 0) {
         sum_lp += r.stats.sr_lp();

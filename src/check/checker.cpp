@@ -84,24 +84,13 @@ CheckResult run_portfolio_backends(const ts::TransitionSystem& ts,
   po.progress = monitor.get();
   po.backends = std::move(backends);
   po.seed = options.seed;
-  po.gen_spec = options.gen_spec;
-  po.lift_sim = options.lift_sim;
-  po.gen_ternary_filter = options.gen_ternary_filter;
-  po.sat_inprocess = options.sat_inprocess;
-  po.gen_batch = options.gen_batch;
-  po.gen_batch_adaptive = options.gen_batch_adaptive;
+  po.patch = options.patch;
   po.share_lemmas = share_lemmas;
   // The certificate gate rides the verify-witness switch: every definitive
   // verdict must re-check under the independent checker before it can win
   // the race; failures quarantine the backend instead of cancelling.
   po.certify = options.verify_witness;
   po.property_index = options.property_index;
-  // ic3_overrides is deliberately NOT forwarded: one override applied to
-  // every IC3-family backend would collapse the race into identical
-  // configurations.  Overrides apply to single-engine specs only.
-  // (gen_spec IS forwarded: the backends still differ in their base
-  // configurations, and a uniform strategy override is the point of
-  // `--gen` — e.g. racing every config under "dynamic".)
   engine::PortfolioResult pr =
       engine::run_portfolio(ts, po, deadline_for(options), options.cancel);
   CheckResult out =
@@ -129,13 +118,7 @@ CheckResult check_ts(const ts::TransitionSystem& ts,
   engine::BackendContext ctx;
   if (monitor != nullptr) ctx.progress = monitor->add_channel(spec);
   ctx.seed = options.seed;
-  ctx.ic3_overrides = options.ic3_overrides;
-  ctx.gen_spec = options.gen_spec;
-  ctx.lift_sim = options.lift_sim;
-  ctx.gen_ternary_filter = options.gen_ternary_filter;
-  ctx.sat_inprocess = options.sat_inprocess;
-  ctx.gen_batch = options.gen_batch;
-  ctx.gen_batch_adaptive = options.gen_batch_adaptive;
+  ctx.patch = options.patch;
   const std::unique_ptr<engine::Backend> backend =
       engine::make_backend(spec, ts, ctx);
   engine::EngineResult r =

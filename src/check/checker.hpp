@@ -43,29 +43,9 @@ struct CheckOptions {
   /// plus "portfolio[:a+b+c]" (a "+"-separated backend list) and
   /// "portfolio-x[:a+b+c]" (same race with lemma exchange enabled).
   std::string engine_spec = "ic3-ctg";
-  /// Generalization-strategy spec override ("down", "dynamic:16,0.4", …;
-  /// see ic3/gen_strategy.hpp).  Empty = the engine's own strategy.
-  /// Applies to IC3-family backends, including every one in a portfolio.
-  std::string gen_spec;
-  /// Ternary-simulation backend for the lifter ("--lift-sim packed|byte");
-  /// unset = the config default (packed).  Applies to IC3-family backends,
-  /// including every one in a portfolio.
-  std::optional<ic3::Config::LiftSim> lift_sim;
-  /// Ternary drop-filter in the MIC core ("--gen-ternary-filter on|off");
-  /// unset = the config default (on).  Same scope as lift_sim.
-  std::optional<bool> gen_ternary_filter;
-  /// SAT inprocessing ("--sat-inprocess on|off"): lemma-install subsumption
-  /// and boundary vivification (IC3), failed-literal probing + SCC
-  /// collapsing (BMC/k-induction).  Unset = defaults (on); applies to every
-  /// backend, including portfolio members.
-  std::optional<bool> sat_inprocess;
-  /// Batched generalization probe width ("--gen-batch N", 1 = off); unset =
-  /// the config default.  Same scope as lift_sim.
-  std::optional<int> gen_batch;
-  /// Adaptive batch width ("--gen-batch-adaptive on|off"): size probe
-  /// groups from the observed candidate failure rate instead of the fixed
-  /// gen_batch.  Unset = the config default (off).  Same scope as lift_sim.
-  std::optional<bool> gen_batch_adaptive;
+  /// Engine settings (`--set key=value`, ic3/config.hpp) applied to the
+  /// engine, or to every backend of a portfolio race.
+  ic3::ConfigPatch patch;
   /// Portfolio runs: share validated lemmas between the racing IC3
   /// backends (also enabled by the "portfolio-x" spec form).
   bool share_lemmas = false;
@@ -82,10 +62,6 @@ struct CheckOptions {
   /// <= 0 disables it.  Each backend gets its own named channel, so a
   /// portfolio run prints one line per racer per tick.
   double progress_interval = 0.0;
-  /// Extra IC3 knobs forwarded verbatim (ablations).  Single-engine specs
-  /// only: portfolio races keep each backend's own configuration (use
-  /// engine::PortfolioOptions directly to override a whole race).
-  std::optional<ic3::Config> ic3_overrides;
 };
 
 struct CheckResult {

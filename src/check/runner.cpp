@@ -14,7 +14,6 @@
 #include "corpus/results_db.hpp"
 #include "engine/backend.hpp"
 #include "engine/portfolio.hpp"
-#include "ic3/gen_strategy.hpp"
 #include "serve/advisor.hpp"
 #include "serve/verdict_cache.hpp"
 #include "ts/transition_system.hpp"
@@ -72,7 +71,6 @@ std::vector<RunRecord> run_matrix(const std::vector<corpus::Case>& cases,
                                   const std::vector<std::string>& engines,
                                   const RunMatrixOptions& options) {
   for (const std::string& spec : engines) validate_engine_spec(spec);
-  if (!options.gen_spec.empty()) ic3::validate_gen_spec(options.gen_spec);
 
   struct Job {
     std::size_t case_index;
@@ -184,13 +182,7 @@ std::vector<RunRecord> run_matrix(const std::vector<corpus::Case>& cases,
 
       CheckOptions co;
       co.engine_spec = spec;
-      co.gen_spec = options.gen_spec;
-      co.lift_sim = options.lift_sim;
-      co.gen_ternary_filter = options.gen_ternary_filter;
-      co.sat_inprocess = options.sat_inprocess;
-      co.gen_batch = options.gen_batch;
-      co.gen_batch_adaptive = options.gen_batch_adaptive;
-      co.share_lemmas = options.share_lemmas;
+      co.patch = options.patch;
       co.budget_ms = options.budget_ms;
       co.seed = options.seed;
       // --certify and the cache store need a checked certificate even

@@ -73,23 +73,9 @@ struct RunRecord {
 struct RunMatrixOptions {
   std::int64_t budget_ms = 2000;
   std::uint64_t seed = 0;
-  /// Generalization-strategy spec applied to every IC3-family engine of
-  /// the matrix (CheckOptions::gen_spec); empty = each engine's own.
-  std::string gen_spec;
-  /// Lifter ternary-simulation backend / MIC drop-filter overrides applied
-  /// to every IC3-family engine (CheckOptions::lift_sim /
-  /// CheckOptions::gen_ternary_filter); unset = config defaults.
-  std::optional<ic3::Config::LiftSim> lift_sim;
-  std::optional<bool> gen_ternary_filter;
-  /// SAT inprocessing / batched-probe overrides applied to every engine of
-  /// the matrix (CheckOptions::sat_inprocess / CheckOptions::gen_batch);
-  /// unset = config defaults.
-  std::optional<bool> sat_inprocess;
-  std::optional<int> gen_batch;
-  std::optional<bool> gen_batch_adaptive;
-  /// Enable lemma exchange inside portfolio engine specs
-  /// (CheckOptions::share_lemmas); "portfolio-x" specs enable it per-spec.
-  bool share_lemmas = false;
+  /// Engine settings applied to every engine of the matrix
+  /// (CheckOptions::patch).
+  ic3::ConfigPatch patch;
   /// Worker threads; 0 = hardware concurrency.
   std::size_t jobs = 0;
   bool verify_witness = true;

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <ctime>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -87,12 +88,6 @@ json::Value stats_to_json(const ic3::Ic3Stats& s) {
   o["sat_scc_merged"] = s.sat_scc_merged_vars;
   o["batched_drop_solves"] = s.num_batched_drop_solves;
   o["batched_drop_answers"] = s.num_batched_drop_answers;
-  // Adaptive batch width (PR 10): emitted only when the adaptive sizing
-  // actually ran, so fixed-width rows keep their pre-existing shape.
-  if (s.num_adaptive_batch_updates != 0) {
-    o["adaptive_batch_updates"] = s.num_adaptive_batch_updates;
-    o["adaptive_batch_width_sum"] = s.adaptive_batch_width_sum;
-  }
   o["rebuild_subsumed"] = s.num_rebuild_subsumed;
   // Timing + per-phase profile (PR 8): coarse time_* fields plus one
   // {"seconds", "calls"} object per phase that actually ran, keyed by the
@@ -178,8 +173,6 @@ ic3::Ic3Stats stats_from_json(const json::Value& v) {
   s.sat_scc_merged_vars = v.at("sat_scc_merged").as_uint();
   s.num_batched_drop_solves = v.at("batched_drop_solves").as_uint();
   s.num_batched_drop_answers = v.at("batched_drop_answers").as_uint();
-  s.num_adaptive_batch_updates = v.at("adaptive_batch_updates").as_uint();
-  s.adaptive_batch_width_sum = v.at("adaptive_batch_width_sum").as_uint();
   s.num_rebuild_subsumed = v.at("rebuild_subsumed").as_uint();
   // Timing + phases (PR 8): absent in older rows — the same null/0
   // fallback applies, and phase names a future build no longer knows are
@@ -237,7 +230,13 @@ json::Value to_json(const RunRow& row) {
   o["timestamp"] = row.context.timestamp;
   o["budget_ms"] = row.context.budget_ms;
   o["seed"] = row.context.seed;
-  if (!row.context.gen_spec.empty()) o["gen"] = row.context.gen_spec;
+  if (!row.context.patch.empty()) {
+    json::Array set;
+    for (const std::string& item : row.context.patch.items()) {
+      set.emplace_back(item);
+    }
+    o["set"] = std::move(set);
+  }
   return json::Value(std::move(o));
 }
 
@@ -274,7 +273,14 @@ RunRow row_from_json(const json::Value& v) {
   row.context.timestamp = v.at("timestamp").as_string();
   row.context.budget_ms = v.at("budget_ms").as_int();
   row.context.seed = v.at("seed").as_uint();
-  row.context.gen_spec = v.at("gen").as_string();  // absent in old rows
+  std::vector<std::string> set;
+  if (!v.at("gen").as_string().empty()) {
+    set.push_back("gen=" + v.at("gen").as_string());
+  }
+  for (const json::Value& item : v.at("set").as_array()) {
+    set.push_back(item.as_string());
+  }
+  row.context.patch = ic3::ConfigPatch::parse(set);
   return row;
 }
 
@@ -306,50 +312,25 @@ ic3::Verdict verdict_from_string(const std::string& text) {
 }
 
 RunContext make_run_context(std::string corpus, std::int64_t budget_ms,
-                            std::uint64_t seed, std::string gen_spec) {
+                            std::uint64_t seed, ic3::ConfigPatch patch) {
   RunContext ctx;
   ctx.corpus = std::move(corpus);
   ctx.commit = campaign_commit();
   ctx.timestamp = now_utc_iso8601();
   ctx.budget_ms = budget_ms;
   ctx.seed = seed;
-  ctx.gen_spec = std::move(gen_spec);
+  ctx.patch = std::move(patch);
   return ctx;
-}
-
-bool record_mismatch(const check::RunRecord& record) {
-  return record.solved && record.expected != Expected::kUnknown &&
-         expected_from_safe(record.verdict == ic3::Verdict::kSafe) !=
-             record.expected;
-}
-
-CampaignSummary summarize_campaign(
-    const std::vector<check::RunRecord>& records) {
-  CampaignSummary s;
-  s.total = records.size();
-  for (const check::RunRecord& r : records) {
-    if (!r.error.empty()) {
-      ++s.errors;
-    } else if (r.solved) {
-      ++s.solved;
-      if (record_mismatch(r)) ++s.mismatches;
-    } else {
-      ++s.unknown;
-    }
-  }
-  return s;
 }
 
 ResultsDb ResultsDb::load(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) throw std::runtime_error("results db: cannot open " + path);
   ResultsDb db;
-  db.torn_lines_ = json::for_each_jsonl_line(
-                       in, "results db " + path,
-                       [&db](const std::string& line) {
-                         db.add(row_from_json(json::parse(line)));
-                       })
-                       .torn;
+  db.tail_ = json::for_each_jsonl_line(
+      in, "results db " + path, [&db](const std::string& line) {
+        db.add(row_from_json(json::parse(line)));
+      });
   return db;
 }
 
@@ -409,6 +390,9 @@ ResultsDb::Writer::Writer(const std::string& path, bool truncate) {
     stream_ = stdout;
     owns_stream_ = false;
     return;
+  }
+  if (!truncate && std::filesystem::exists(path)) {
+    json::end_jsonl_tail(path, load(path).tail_);
   }
   stream_ = std::fopen(path.c_str(), truncate ? "wb" : "ab");
   if (stream_ == nullptr) {

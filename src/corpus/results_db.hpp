@@ -41,10 +41,11 @@ struct RunContext {
   std::string timestamp;
   std::int64_t budget_ms = 0;
   std::uint64_t seed = 0;
-  /// Generalization-strategy override the campaign ran with
-  /// (RunMatrixOptions::gen_spec); recorded so single-file `diff` re-runs
-  /// reproduce the campaign exactly.  Empty = engines' own strategies.
-  std::string gen_spec;
+  /// Engine settings the campaign ran with (RunMatrixOptions::patch),
+  /// stored as the row's "set" field so single-file `diff` re-runs
+  /// reproduce the campaign exactly.  Rows written before "set" existed
+  /// recorded only a strategy override as "gen":"X"; they load as gen=X.
+  ic3::ConfigPatch patch;
 };
 
 /// One database row: a check::RunRecord plus its campaign context.
@@ -81,28 +82,7 @@ struct RunRow {
 [[nodiscard]] RunContext make_run_context(std::string corpus,
                                           std::int64_t budget_ms,
                                           std::uint64_t seed,
-                                          std::string gen_spec = "");
-
-/// Aggregate outcome of a campaign's records — the one definition of
-/// "mismatch" and of the batch exit-code convention, shared by the `pilot`
-/// and `pilot-bench` CLIs.
-struct CampaignSummary {
-  std::size_t total = 0;
-  std::size_t solved = 0;
-  std::size_t unknown = 0;
-  std::size_t mismatches = 0;  // solved against a contradicting expected
-  std::size_t errors = 0;      // cases that failed to load
-  /// 0 = completed clean, 1 = expectation mismatches, 3 = load errors.
-  [[nodiscard]] int exit_code() const {
-    return errors > 0 ? 3 : (mismatches > 0 ? 1 : 0);
-  }
-};
-
-/// True when a solved record contradicts its expected status.
-[[nodiscard]] bool record_mismatch(const check::RunRecord& record);
-
-[[nodiscard]] CampaignSummary summarize_campaign(
-    const std::vector<check::RunRecord>& records);
+                                          ic3::ConfigPatch patch = {});
 
 class ResultsDb {
  public:
@@ -128,18 +108,21 @@ class ResultsDb {
   /// Distinct engine specs, in first-seen order.
   [[nodiscard]] std::vector<std::string> engines() const;
   /// Torn final lines load() skipped (0 or 1).
-  [[nodiscard]] std::size_t torn_lines() const { return torn_lines_; }
+  [[nodiscard]] std::size_t torn_lines() const { return tail_.torn; }
 
   /// Rewrites the whole db to `path` (one line per row).
   void save(const std::string& path) const;
 
-  /// Append-only JSONL emitter, shared by `pilot --corpus` and
-  /// `pilot-bench run`.  Lines are flushed as written, so a partial
-  /// campaign still leaves a loadable prefix.
+  /// Append-only JSONL emitter (`pilot-bench run`, the bench harnesses).
+  /// Lines are flushed as written, so a partial campaign still leaves a
+  /// loadable prefix.
   class Writer {
    public:
-    /// Opens for append (`truncate` starts the file fresh).  Throws when
-    /// the file cannot be opened.  An empty path writes to stdout.
+    /// Opens for append (`truncate` starts the file fresh).  Appending to
+    /// an existing file loads it first and cuts off a torn final line a
+    /// killed writer left (json::end_jsonl_tail), so the new rows never
+    /// bury it mid-file.  Throws when the file cannot be opened or holds
+    /// corrupt rows.  An empty path writes to stdout.
     explicit Writer(const std::string& path, bool truncate = false);
     ~Writer();
     Writer(const Writer&) = delete;
@@ -156,7 +139,7 @@ class ResultsDb {
 
  private:
   std::vector<RunRow> rows_;
-  std::size_t torn_lines_ = 0;
+  json::JsonlRead tail_;  // how load() found the end of the file
 };
 
 struct DiffOptions {

@@ -7,15 +7,14 @@
 
 #include "bmc/bmc.hpp"
 #include "bmc/kinduction.hpp"
-#include "ic3/gen_strategy.hpp"
 
 namespace pilot::engine {
 namespace {
 
 // ----- built-in backends -----------------------------------------------------
 
-/// Every IC3 engine configuration: the registry name picks the ic3::Config
-/// (unless the context overrides it), check() is a thin adapter around
+/// Every IC3 engine configuration: the registry name picks the ic3::Config,
+/// the context's patch adjusts it, check() is a thin adapter around
 /// ic3::Engine.
 class Ic3Backend final : public Backend {
  public:
@@ -23,21 +22,8 @@ class Ic3Backend final : public Backend {
              const BackendContext& ctx)
       : name_(std::move(name)),
         ts_(ts),
-        cfg_(ctx.ic3_overrides.has_value() ? *ctx.ic3_overrides
-                                           : ic3_config_for(name_, ctx.seed)) {
-    if (!ctx.gen_spec.empty()) {
-      ic3::validate_gen_spec(ctx.gen_spec);  // fail before check() runs
-      cfg_.gen_spec = ctx.gen_spec;
-    }
-    if (ctx.lift_sim.has_value()) cfg_.lift_sim = *ctx.lift_sim;
-    if (ctx.gen_ternary_filter.has_value()) {
-      cfg_.gen_ternary_filter = *ctx.gen_ternary_filter;
-    }
-    if (ctx.sat_inprocess.has_value()) cfg_.sat_inprocess = *ctx.sat_inprocess;
-    if (ctx.gen_batch.has_value()) cfg_.gen_batch = *ctx.gen_batch;
-    if (ctx.gen_batch_adaptive.has_value()) {
-      cfg_.gen_batch_adaptive = *ctx.gen_batch_adaptive;
-    }
+        cfg_(ic3_config_for(name_, ctx.seed)) {
+    ctx.patch.apply(cfg_);
     cfg_.lemma_bus = ctx.lemma_bus;
     cfg_.progress = ctx.progress;
   }
@@ -71,7 +57,7 @@ class BmcBackend final : public Backend {
   BmcBackend(const ts::TransitionSystem& ts, const BackendContext& ctx)
       : ts_(ts) {
     options_.seed = ctx.seed;
-    if (ctx.sat_inprocess.has_value()) options_.inprocess = *ctx.sat_inprocess;
+    options_.inprocess = ctx.patch.sat_inprocess().value_or(options_.inprocess);
     options_.progress = ctx.progress;
   }
 
@@ -108,7 +94,7 @@ class KinductionBackend final : public Backend {
   KinductionBackend(const ts::TransitionSystem& ts, const BackendContext& ctx)
       : ts_(ts) {
     options_.seed = ctx.seed;
-    if (ctx.sat_inprocess.has_value()) options_.inprocess = *ctx.sat_inprocess;
+    options_.inprocess = ctx.patch.sat_inprocess().value_or(options_.inprocess);
     options_.progress = ctx.progress;
   }
 

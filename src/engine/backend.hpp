@@ -63,29 +63,10 @@ struct EngineResult {
 /// Per-run knobs shared by every backend of one check.
 struct BackendContext {
   std::uint64_t seed = 0;
-  /// Extra IC3 knobs forwarded verbatim to IC3-family backends (ablations).
-  std::optional<ic3::Config> ic3_overrides;
-  /// Generalization-strategy spec override ("dynamic:16,0.4", …; see
-  /// ic3/gen_strategy.hpp) applied on top of the name-derived config of
-  /// IC3-family backends; empty = keep the backend's own strategy.
-  std::string gen_spec;
-  /// Ternary-simulation backend override for the lifter (--lift-sim);
-  /// unset = the config default (packed).
-  std::optional<ic3::Config::LiftSim> lift_sim;
-  /// Ternary drop-filter override for the MIC core (--gen-ternary-filter);
-  /// unset = the config default (on).
-  std::optional<bool> gen_ternary_filter;
-  /// SAT inprocessing override (--sat-inprocess): lemma-install subsumption
-  /// and boundary vivification in IC3-family backends, failed-literal
-  /// probing + SCC collapsing in BMC/k-induction; unset = defaults (on).
-  std::optional<bool> sat_inprocess;
-  /// Batched generalization probe width override (--gen-batch); 1 disables
-  /// batching, unset = the config default.
-  std::optional<int> gen_batch;
-  /// Adaptive batch-width override (--gen-batch-adaptive): scale the probe
-  /// group size from the observed candidate failure rate; unset = the
-  /// config default (off).
-  std::optional<bool> gen_batch_adaptive;
+  /// Engine settings applied on top of the name-derived configuration
+  /// (ic3/config.hpp): sat_inprocess reaches every backend, every other
+  /// key only the IC3-family ones.
+  ic3::ConfigPatch patch;
   /// Portfolio lemma exchange endpoint for this backend (non-owning, may
   /// be null; engine/lemma_exchange.hpp).  IC3-family backends publish
   /// installed lemmas and import validated peer lemmas through it.

@@ -87,13 +87,7 @@ PortfolioResult run_portfolio(const ts::TransitionSystem& ts,
   for (const std::string& name : names) {
     BackendContext ctx;
     ctx.seed = options.seed;
-    ctx.ic3_overrides = options.ic3_overrides;
-    ctx.gen_spec = options.gen_spec;
-    ctx.lift_sim = options.lift_sim;
-    ctx.gen_ternary_filter = options.gen_ternary_filter;
-    ctx.sat_inprocess = options.sat_inprocess;
-    ctx.gen_batch = options.gen_batch;
-    ctx.gen_batch_adaptive = options.gen_batch_adaptive;
+    ctx.patch = options.patch;
     if (hub != nullptr) {
       buses.push_back(std::make_unique<PeerBus>(*hub, hub->add_peer()));
       ctx.lemma_bus = buses.back().get();

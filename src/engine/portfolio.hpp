@@ -40,21 +40,8 @@ struct PortfolioOptions {
   /// Backend names to race; empty → default_portfolio_backends().
   std::vector<std::string> backends;
   std::uint64_t seed = 0;
-  /// Extra IC3 knobs forwarded to the IC3-family backends.
-  std::optional<ic3::Config> ic3_overrides;
-  /// Generalization-strategy spec applied to every IC3-family backend
-  /// (empty = each keeps its own; see BackendContext::gen_spec).
-  std::string gen_spec;
-  /// Lifter ternary-simulation backend / MIC drop-filter overrides applied
-  /// to every IC3-family backend (unset = config defaults); see
-  /// BackendContext.
-  std::optional<ic3::Config::LiftSim> lift_sim;
-  std::optional<bool> gen_ternary_filter;
-  /// SAT inprocessing / batched-generalization-probe overrides applied to
-  /// every backend (unset = config defaults); see BackendContext.
-  std::optional<bool> sat_inprocess;
-  std::optional<int> gen_batch;
-  std::optional<bool> gen_batch_adaptive;
+  /// Engine settings handed to every backend (BackendContext::patch).
+  ic3::ConfigPatch patch;
   /// Share generalized lemmas between the racing backends through a
   /// LemmaExchange hub; every import is re-validated by the importer, so
   /// verdicts stay sound and deterministic.

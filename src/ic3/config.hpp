@@ -8,7 +8,10 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
+#include <optional>
 #include <string>
+#include <vector>
 
 namespace pilot::obs {
 class ProgressSink;  // obs/progress.hpp — live heartbeat channel
@@ -92,10 +95,9 @@ struct Config {
   LiftMode lift_mode = LiftMode::kSat;
   /// Ternary-simulation backend for the ternary lifter: the bit-packed
   /// two-plane simulator (32 assignments per word, batched candidate
-  /// triage + event-driven confirmation; default — it wins the
-  /// BM_TernaryPacked_vs_Byte micro-benchmark) or the byte-wise reference
-  /// simulator (kept for A/B runs and the differential tests).  Both
-  /// produce bit-identical lifted cubes.
+  /// triage + event-driven confirmation; default) or the byte-wise
+  /// reference simulator, which only the lifter's differential tests
+  /// select.  Both produce bit-identical lifted cubes.
   enum class LiftSim { kPacked, kByte };
   LiftSim lift_sim = LiftSim::kPacked;
   /// Ternary drop-filter in the shared MIC core (down/cav23 drop loops):
@@ -128,15 +130,6 @@ struct Config {
   /// query it also witnesses.  1 disables batching (sequential drop loop);
   /// ctgDown is never batched (it consumes each CTI individually).
   int gen_batch = 4;
-  /// Adaptive batch width: instead of the fixed gen_batch, size each probe
-  /// group from the observed candidate failure rate f.  A batch solve is
-  /// SAT ⟺ *all* k candidates fail (probability ≈ f^k), so the width that
-  /// makes both outcomes equally likely — and a solve maximally informative
-  /// — is k ≈ ln(0.5)/ln(f), clamped to [1, gen_batch_max].  Off by
-  /// default; verdict-preserving either way (batching is exact).
-  bool gen_batch_adaptive = false;
-  /// Upper clamp for the adaptive width.
-  int gen_batch_max = 8;
   /// Carry saved phases and (normalized) variable activities into the
   /// fresh solver when maybe_rebuild() retires one, instead of restarting
   /// the search heuristics from zero.
@@ -167,10 +160,40 @@ struct Config {
     }
     return "ctg";
   }
+};
 
-  [[nodiscard]] std::string describe() const {
-    return "gen=" + resolved_gen_spec();
-  }
+/// A validated engine-settings patch: the one way a caller changes engine
+/// settings on top of the Config an engine's registry name selects
+/// (`--set key=value` on the CLIs, CheckOptions::patch, the "set" field
+/// of results rows).  Only parse() builds one, checking every key against
+/// the table in config.cpp and every value against its range, so a patch
+/// that exists is valid.  Each backend applies it once, in its
+/// constructor: sat_inprocess also reaches bmc and kind, every other key
+/// only IC3-family engines.
+class ConfigPatch {
+ public:
+  /// Parses "key=value" items; a repeated key keeps its last value.
+  /// Throws std::invalid_argument naming the offending item and listing
+  /// the valid keys (for gen, also the registered strategies).
+  static ConfigPatch parse(const std::vector<std::string>& items);
+
+  /// Every settable key, sorted.
+  [[nodiscard]] static std::vector<std::string> keys();
+
+  /// Sets every patched field of `cfg`.
+  void apply(Config& cfg) const;
+
+  /// The sat_inprocess setting, when patched.
+  [[nodiscard]] std::optional<bool> sat_inprocess() const;
+
+  /// Canonical "key=value" items, sorted by key: parse(items()) == *this.
+  [[nodiscard]] std::vector<std::string> items() const;
+
+  [[nodiscard]] bool empty() const { return values_.empty(); }
+  bool operator==(const ConfigPatch&) const = default;
+
+ private:
+  std::map<std::string, std::string> values_;  // key -> canonical value
 };
 
 }  // namespace pilot::ic3

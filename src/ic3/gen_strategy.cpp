@@ -1,7 +1,6 @@
 #include "ic3/gen_strategy.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <map>
 #include <mutex>
 #include <stdexcept>
@@ -22,7 +21,7 @@ namespace {
 
 /// The three drop-loop strategies share one MIC implementation and differ
 /// in literal ordering (cav23) and CTG handling (ctg); the mode is the
-/// strategy's own, NOT Config::gen_mode, so `--gen cav23` works on any
+/// strategy's own, NOT Config::gen_mode, so `--set gen=cav23` works on any
 /// engine configuration.
 class FixedStrategy final : public GenStrategy {
  public:
@@ -80,54 +79,11 @@ class FixedStrategy final : public GenStrategy {
     return order;
   }
 
-  /// Folds `weight` candidate-probe outcomes (failed = the candidate drop
-  /// was refuted by a CTI) into the failure-rate estimate behind the
-  /// adaptive batch width.  Counts halve periodically so the estimate
-  /// tracks the current frame's behaviour, not the whole run's.
-  void record_probe(bool failed, std::uint64_t weight = 1) {
-    probe_outcomes_ += weight;
-    if (failed) probe_failures_ += weight;
-    if (probe_outcomes_ >= 4096) {
-      probe_outcomes_ /= 2;
-      probe_failures_ /= 2;
-    }
-  }
-
-  /// Probe-group width for this mic() pass.  Fixed mode returns
-  /// Config::gen_batch; adaptive mode sizes the group from the observed
-  /// candidate failure rate f: a batch solve is SAT ⟺ all k members fail
-  /// (≈ f^k), so k = ln(0.5)/ln(f) makes both outcomes equally likely and
-  /// one solve maximally informative.  Low f collapses to the sequential
-  /// loop (most batches would be UNSAT and answer only one candidate —
-  /// same cost, larger formulas); high f saturates at gen_batch_max.
-  std::size_t batch_width() {
+  /// Probe-group width for this mic() pass: Config::gen_batch, except
+  /// that ctgDown consumes each CTI individually and is never batched.
+  [[nodiscard]] std::size_t batch_width() const {
     if (mode_ == GenMode::kCtg) return 1;
-    const auto fixed =
-        static_cast<std::size_t>(std::max(1, ctx_.cfg.gen_batch));
-    if (!ctx_.cfg.gen_batch_adaptive) return fixed;
-    const auto max_k =
-        static_cast<std::size_t>(std::max(2, ctx_.cfg.gen_batch_max));
-    constexpr std::uint64_t kMinObservations = 32;
-    std::size_t k;
-    if (probe_outcomes_ < kMinObservations) {
-      // Cold start: no usable estimate yet, run the configured width.
-      k = std::max<std::size_t>(fixed, 2);
-    } else {
-      const double f = static_cast<double>(probe_failures_) /
-                       static_cast<double>(probe_outcomes_);
-      if (f >= 0.97) {
-        k = max_k;
-      } else if (f <= 0.5) {
-        k = 1;
-      } else {
-        k = static_cast<std::size_t>(
-            std::lround(std::log(0.5) / std::log(f)));
-      }
-      k = std::min(std::max<std::size_t>(k, 1), max_k);
-    }
-    ++ctx_.stats.num_adaptive_batch_updates;
-    ctx_.stats.adaptive_batch_width_sum += k;
-    return k;
+    return static_cast<std::size_t>(std::max(1, ctx_.cfg.gen_batch));
   }
 
   Cube mic(Cube cube, std::size_t level, int depth, const Deadline& deadline,
@@ -180,13 +136,9 @@ class FixedStrategy final : public GenStrategy {
                                           &core, deadline)) {
         cube = core;
         ++ctx_.stats.num_mic_drops;
-        record_probe(/*failed=*/false);
-      } else {
-        record_probe(/*failed=*/true);
-        if (filter_) {
-          filter_->add_witness(ctx_.solvers.model_state(/*primed=*/false),
-                               ctx_.solvers.model_inputs(), level);
-        }
+      } else if (filter_) {
+        filter_->add_witness(ctx_.solvers.model_state(/*primed=*/false),
+                             ctx_.solvers.model_inputs(), level);
       }
     }
     return cube;
@@ -245,7 +197,6 @@ class FixedStrategy final : public GenStrategy {
         cube = res.dropped;
         ++ctx_.stats.num_batched_drop_answers;
         ++ctx_.stats.num_mic_drops;
-        record_probe(/*failed=*/false);
         continue;
       }
       // SAT: every member's own query is witnessed by its copy's model —
@@ -257,7 +208,6 @@ class FixedStrategy final : public GenStrategy {
         }
       }
       ctx_.stats.num_batched_drop_answers += group.size();
-      record_probe(/*failed=*/true, group.size());
       return;
     }
   }
@@ -320,10 +270,6 @@ class FixedStrategy final : public GenStrategy {
   const std::string name_;
   const GenMode mode_;
   std::unique_ptr<DropFilter> filter_;  // null: ctg mode or filter off
-  /// Decaying candidate-probe outcome counts (see record_probe) — the
-  /// failure-rate estimate the adaptive batch width is derived from.
-  std::uint64_t probe_outcomes_ = 0;
-  std::uint64_t probe_failures_ = 0;
 };
 
 // ----- the DAC'24 prediction strategy ----------------------------------------

@@ -101,12 +101,6 @@ std::string Ic3Stats::summary() const {
     oss << " | batch: drop_solves=" << num_batched_drop_solves
         << " drop_answers=" << num_batched_drop_answers;
   }
-  if (num_adaptive_batch_updates > 0) {
-    oss << " | batch-adaptive: updates=" << num_adaptive_batch_updates
-        << " avg_width="
-        << static_cast<double>(adaptive_batch_width_sum) /
-               static_cast<double>(num_adaptive_batch_updates);
-  }
   for (const GenStrategyStats& s : gen_strategies) {
     oss << " | gen[" << s.name << "]: attempts=" << s.attempts
         << " successes=" << s.successes << " queries=" << s.queries

@@ -101,11 +101,6 @@ struct Ic3Stats {
   /// Candidate-drop answers obtained from batched solves: every candidate
   /// of an UNSAT batch, plus every candidate a batch CTI defeats.
   std::uint64_t num_batched_drop_answers = 0;
-  /// Adaptive batch width (Config::gen_batch_adaptive): times a mic() pass
-  /// sized its probe group from the failure-rate estimate, and the sum of
-  /// the widths chosen (mean width = sum / updates).
-  std::uint64_t num_adaptive_batch_updates = 0;
-  std::uint64_t adaptive_batch_width_sum = 0;
 
   // --- ternary drop-filter + packed simulation (Config::gen_ternary_filter,
   // --- Config::lift_sim) ---

@@ -1,6 +1,5 @@
 #include "serve/verdict_cache.hpp"
 
-#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -45,17 +44,11 @@ CacheEntry cache_entry_from_json_line(const std::string& line) {
 VerdictCache::VerdictCache(const std::string& path) : path_(path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return;  // missing file = empty cache; first store creates it
-  const json::JsonlRead read = json::for_each_jsonl_line(
+  tail_ = json::for_each_jsonl_line(
       in, "verdict cache " + path, [this](const std::string& line) {
         CacheEntry e = cache_entry_from_json_line(line);
         entries_[e.hash] = std::move(e);  // last entry per hash wins
       });
-  torn_lines_ = read.torn;
-  if (read.torn > 0) {
-    torn_offset_ = read.last_line_offset;
-  } else {
-    needs_newline_ = read.ends_mid_line;
-  }
 }
 
 std::optional<CacheEntry> VerdictCache::lookup(const std::string& hash,
@@ -121,19 +114,14 @@ bool VerdictCache::store(const CacheEntry& entry) {
 }
 
 void VerdictCache::append_to_file(const CacheEntry& entry) {
-  // Start on a fresh line: cut off a torn tail left by a killed writer
-  // (left in place it would sit mid-file and fail the next load), or end an
-  // intact last line that lacks its newline.
-  if (torn_offset_.has_value()) {
-    std::filesystem::resize_file(path_, *torn_offset_);
-    torn_offset_.reset();
+  if (!tail_ready_) {
+    json::end_jsonl_tail(path_, tail_);
+    tail_ready_ = true;
   }
   std::ofstream out(path_, std::ios::binary | std::ios::app);
   if (!out) {
     throw std::runtime_error("verdict cache: cannot append to " + path_);
   }
-  if (needs_newline_) out << "\n";
-  needs_newline_ = false;
   out << cache_entry_to_json(entry) << "\n";
 }
 

@@ -28,6 +28,7 @@
 
 #include "ic3/engine.hpp"
 #include "ts/transition_system.hpp"
+#include "util/json.hpp"
 
 namespace pilot::corpus {
 class ResultsDb;
@@ -104,7 +105,7 @@ class VerdictCache {
 
   [[nodiscard]] std::size_t size() const;
   /// Torn final lines the constructor skipped (0 or 1).
-  [[nodiscard]] std::size_t torn_lines() const { return torn_lines_; }
+  [[nodiscard]] std::size_t torn_lines() const { return tail_.torn; }
   [[nodiscard]] const CacheStats& stats() const { return stats_; }
   /// One-line human-readable counter summary ("N entries, H hits, ...").
   [[nodiscard]] std::string summary() const;
@@ -116,11 +117,10 @@ class VerdictCache {
   std::unordered_map<std::string, CacheEntry> entries_;
   std::string path_;  // empty = memory-only
   CacheStats stats_;
-  std::size_t torn_lines_ = 0;
-  // How the next append starts a fresh line (both guarded by mutex_):
-  // truncate a torn tail away, or end an intact but unterminated line.
-  std::optional<std::uint64_t> torn_offset_;
-  bool needs_newline_ = false;
+  // The constructor's read of the file; the first append readies its tail
+  // with json::end_jsonl_tail (guarded by mutex_).
+  json::JsonlRead tail_;
+  bool tail_ready_ = false;
 };
 
 /// Serialization of one entry (JSONL line), shared with the cache file

@@ -3,6 +3,8 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <istream>
 #include <stdexcept>
 
@@ -327,6 +329,16 @@ JsonlRead for_each_jsonl_line(
     }
   }
   return read;
+}
+
+void end_jsonl_tail(const std::string& path, const JsonlRead& read) {
+  if (read.torn > 0) {
+    std::filesystem::resize_file(path, read.last_line_offset);
+  } else if (read.ends_mid_line) {
+    std::ofstream out(path, std::ios::binary | std::ios::app);
+    out << "\n";
+    if (!out) throw std::runtime_error("cannot append to " + path);
+  }
 }
 
 }  // namespace pilot::json

@@ -119,4 +119,10 @@ JsonlRead for_each_jsonl_line(
     std::istream& in, const std::string& source,
     const std::function<void(const std::string&)>& on_line);
 
+/// Readies the JSONL file `path`, last read as `read`, for an append: cuts
+/// a torn final line off at read.last_line_offset, or ends an intact last
+/// line that lacks its newline.  Appending after a torn tail would leave
+/// it mid-file, where the next read rejects it.
+void end_jsonl_tail(const std::string& path, const JsonlRead& read);
+
 }  // namespace pilot::json

@@ -89,6 +89,19 @@ void OptionParser::add_string(const std::string& name, std::string* target,
   specs_[name] = std::move(spec);
 }
 
+void OptionParser::add_list(const std::string& name,
+                            std::vector<std::string>* target,
+                            std::string help) {
+  Spec spec;
+  spec.help = std::move(help);
+  spec.kind = "list";
+  spec.apply = [target](const std::string& text) {
+    target->push_back(text);
+    return true;
+  };
+  specs_[name] = std::move(spec);
+}
+
 void OptionParser::add_choice(const std::string& name, std::string* target,
                               std::vector<std::string> choices,
                               std::string help) {
@@ -182,6 +195,8 @@ std::string OptionParser::help_text() const {
       oss << "}";
     } else if (spec.kind == "opt-double") {
       oss << "[=<double>]";
+    } else if (spec.kind == "list") {
+      oss << " <string> (repeatable)";
     } else if (spec.kind != "flag") {
       oss << " <" << spec.kind << ">";
     }

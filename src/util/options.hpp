@@ -2,7 +2,7 @@
 /// A small declarative command-line flag parser.
 ///
 /// Examples and bench harnesses register typed flags (`--budget-ms 2000`,
-/// `--predict`, `--gen ctg`) and get parsing, `--help` text, and validation
+/// `--predict`, `--set gen=ctg`) and get parsing, `--help` text, and validation
 /// without a third-party dependency.
 #pragma once
 
@@ -41,6 +41,10 @@ class OptionParser {
   void add_string(const std::string& name, std::string* target,
                   std::string help);
 
+  /// Repeatable string option: every `--name value` appends to `target`.
+  void add_list(const std::string& name, std::vector<std::string>* target,
+                std::string help);
+
   /// Enumerated string option restricted to `choices`.
   void add_choice(const std::string& name, std::string* target,
                   std::vector<std::string> choices, std::string help);
@@ -61,7 +65,7 @@ class OptionParser {
   struct Spec {
     std::string help;
     std::string kind;  // "flag", "int", "double", "opt-double", "string",
-                       // "choice"
+                       // "list", "choice"
     std::vector<std::string> choices;
     std::function<bool(const std::string&)> apply;  // empty for flags
     std::function<void(bool)> apply_flag;           // flags only

@@ -9,8 +9,8 @@
 # Steps:
 #   1. `pilot --family FAMILY --family-out WORK_DIR/FAMILY.aag` — exercises
 #      the circuit generator and the AIGER writer; must exit 0.
-#   2. `pilot --witness [--engine ENGINE] [--gen GEN] FILE` — exercises the
-#      AIGER reader and the engine (ENGINE defaults to the CLI's default;
+#   2. `pilot --witness [--engine ENGINE] [--set gen=GEN] FILE` — exercises
+#      the AIGER reader and the engine (ENGINE defaults to the CLI's default;
 #      pass e.g. "portfolio" or "portfolio-x:bmc+kind" to cover the
 #      scheduler, GEN e.g. "dynamic" to cover a strategy override); must
 #      exit EXPECT_CODE, print the matching verdict line, and emit the
@@ -28,7 +28,7 @@ if(DEFINED ENGINE)
   list(APPEND engine_args --engine "${ENGINE}")
 endif()
 if(DEFINED GEN)
-  list(APPEND engine_args --gen "${GEN}")
+  list(APPEND engine_args --set "gen=${GEN}")
 endif()
 if(DEFINED EXTRA_FLAGS)
   list(APPEND engine_args ${EXTRA_FLAGS})

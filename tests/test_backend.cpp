@@ -9,6 +9,7 @@
 #include "cert/certificate.hpp"
 #include "circuits/families.hpp"
 #include "engine/backend.hpp"
+#include "ic3/gen_strategy.hpp"
 #include "ts/transition_system.hpp"
 
 namespace pilot::engine {
@@ -96,18 +97,78 @@ TEST(Backend, EveryBuiltinAnswersBothVerdicts) {
 }
 
 TEST(Backend, ContextOverridesReachIc3Backends) {
-  // Engine name says -pl, but the override forces prediction off — the
-  // stats must show zero prediction queries.
+  // Engine name says -pl, but the patch selects plain ctg generalization —
+  // the stats must show zero prediction queries.
   const auto cc = circuits::counter_wrap_safe(5, 16, 30);
   const ts::TransitionSystem ts = make_ts(cc);
   BackendContext ctx;
-  ic3::Config cfg = ic3_config_for("ic3-ctg-pl", 0);
-  cfg.predict_lemmas = false;
-  ctx.ic3_overrides = cfg;
+  ctx.patch = ic3::ConfigPatch::parse({"gen=ctg"});
   const std::unique_ptr<Backend> b = make_backend("ic3-ctg-pl", ts, ctx);
   const EngineResult r = b->check({}, nullptr);
   EXPECT_EQ(r.verdict, ic3::Verdict::kSafe);
   EXPECT_EQ(r.stats.num_prediction_queries, 0u);
+}
+
+/// The message parse() throws for `items`, or "" when it accepts them.
+std::string patch_error(const std::vector<std::string>& items) {
+  try {
+    (void)ic3::ConfigPatch::parse(items);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(ConfigPatch, RejectsBadItemsNamingTheTokenAndTheValidKeys) {
+  for (const char* item : {"nosuch=1", "gen_batch", "gen_batch=0",
+                           "gen_batch=4x", "sat_inprocess=maybe",
+                           "predict_max_extra_lits=3"}) {
+    const std::string msg = patch_error({item});
+    ASSERT_FALSE(msg.empty()) << item << " was accepted";
+    EXPECT_NE(msg.find(item), std::string::npos) << msg;
+    for (const std::string& key : ic3::ConfigPatch::keys()) {
+      EXPECT_NE(msg.find(key), std::string::npos) << key << " in " << msg;
+    }
+  }
+  // A bad strategy lists the registered strategies.
+  const std::string msg = patch_error({"gen=nosuch"});
+  EXPECT_NE(msg.find("gen=nosuch"), std::string::npos) << msg;
+  for (const std::string& name : ic3::gen_strategy_names()) {
+    EXPECT_NE(msg.find(name), std::string::npos) << name << " in " << msg;
+  }
+}
+
+TEST(ConfigPatch, LastValueWinsAndItemsAreCanonical) {
+  const ic3::ConfigPatch p = ic3::ConfigPatch::parse(
+      {"sat_inprocess=off", "gen_batch=04", "gen=down", "gen_batch=2"});
+  const std::vector<std::string> want = {"gen=down", "gen_batch=2",
+                                         "sat_inprocess=off"};
+  EXPECT_EQ(p.items(), want);
+  EXPECT_EQ(ic3::ConfigPatch::parse(p.items()), p);
+  EXPECT_EQ(p.sat_inprocess(), std::optional<bool>(false));
+  EXPECT_FALSE(ic3::ConfigPatch{}.sat_inprocess().has_value());
+
+  ic3::Config cfg = ic3_config_for("ic3-ctg-pl", 0);
+  p.apply(cfg);
+  EXPECT_EQ(cfg.gen_spec, "down");
+  EXPECT_EQ(cfg.gen_batch, 2);
+  EXPECT_FALSE(cfg.sat_inprocess);
+  EXPECT_TRUE(cfg.predict_lemmas);  // unpatched fields keep the name's
+}
+
+TEST(ConfigPatch, AblationKeysSetTheirFields) {
+  ic3::Config cfg;
+  ic3::ConfigPatch::parse({"clear_failure_push_on_propagate=off",
+                           "predict_refine_diff=off",
+                           "predict_max_extra_lits=2",
+                           "predict_core_shrink=on",
+                           "gen_ternary_filter=off"})
+      .apply(cfg);
+  EXPECT_FALSE(cfg.clear_failure_push_on_propagate);
+  EXPECT_FALSE(cfg.predict_refine_diff);
+  EXPECT_EQ(cfg.predict_max_extra_lits, 2);
+  EXPECT_TRUE(cfg.predict_core_shrink);
+  EXPECT_FALSE(cfg.gen_ternary_filter);
 }
 
 TEST(Backend, StoppedTokenYieldsUnknown) {

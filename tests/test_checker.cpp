@@ -1,5 +1,6 @@
 /// Check-facade tests: the paper-configuration table, option plumbing
-/// (budgets, overrides), and certificate propagation through CheckResult.
+/// (budgets, the settings patch), and certificate propagation through
+/// CheckResult.
 #include <gtest/gtest.h>
 
 #include "check/checker.hpp"
@@ -122,14 +123,13 @@ TEST(Checker, BmcProducesTraceButCannotProve) {
 }
 
 TEST(Checker, OverridesTakePrecedence) {
-  // Engine says ctg+pl, but the override forces prediction off — the
-  // stats must show zero prediction queries.
+  // Engine says ctg+pl, but the patch selects plain ctg generalization —
+  // the stats must show zero prediction queries.
   const auto cc = circuits::counter_wrap_safe(5, 16, 30);
   CheckOptions opts;
   opts.engine_spec = "ic3-ctg-pl";
-  ic3::Config override_cfg = engine::ic3_config_for("ic3-ctg-pl", 0);
-  override_cfg.predict_lemmas = false;
-  opts.ic3_overrides = override_cfg;
+  EXPECT_GT(check_aig(cc.aig, opts).stats.num_prediction_queries, 0u);
+  opts.patch = ic3::ConfigPatch::parse({"gen=ctg"});
   const CheckResult r = check_aig(cc.aig, opts);
   EXPECT_EQ(r.verdict, ic3::Verdict::kSafe);
   EXPECT_EQ(r.stats.num_prediction_queries, 0u);

@@ -232,54 +232,5 @@ TEST(BatchedGeneralization, VerdictsIdenticalAndSolvesReducedOnFamilySet) {
       << " — batched generalization lost its ≥25% solve reduction";
 }
 
-// ----- adaptive width A/B: verdict identity, no solve-count regression ------
-
-Result run_engine_adaptive(const ts::TransitionSystem& ts) {
-  Config cfg;
-  cfg.gen_spec = "down";
-  cfg.gen_batch = 4;
-  cfg.gen_batch_adaptive = true;
-  Engine engine(ts, cfg);
-  return engine.check(Deadline::in_seconds(300));
-}
-
-// Adaptive sizing picks the probe width from the observed failure rate
-// instead of the fixed gen_batch.  Every batch is exact whatever its width,
-// so verdicts must be identical to the fixed-width run; the bar on cost is
-// no regression: the adaptive run must not spend more than 10% extra
-// candidate-drop solves over the whole family set.
-TEST(AdaptiveBatchWidth, VerdictsIdenticalAndNoSolveRegression) {
-  std::uint64_t fixed_solves = 0;
-  std::uint64_t adaptive_solves = 0;
-  std::uint64_t adaptive_updates = 0;
-  std::uint64_t adaptive_width_sum = 0;
-  for (const circuits::CircuitCase& cc : family_set()) {
-    const ts::TransitionSystem ts = ts::TransitionSystem::from_aig(cc.aig);
-    const Result fixed = run_engine(ts, 4);
-    const Result adaptive = run_engine_adaptive(ts);
-    EXPECT_EQ(fixed.verdict,
-              cc.expected_safe ? Verdict::kSafe : Verdict::kUnsafe)
-        << cc.name;
-    EXPECT_EQ(adaptive.verdict, fixed.verdict) << cc.name;
-    EXPECT_EQ(adaptive.frames, fixed.frames) << cc.name;
-    // Fixed-width runs never touch the adaptive sizing path.
-    EXPECT_EQ(fixed.stats.num_adaptive_batch_updates, 0u) << cc.name;
-    fixed_solves +=
-        fixed.stats.num_mic_queries + fixed.stats.num_batched_drop_solves;
-    adaptive_solves += adaptive.stats.num_mic_queries +
-                       adaptive.stats.num_batched_drop_solves;
-    adaptive_updates += adaptive.stats.num_adaptive_batch_updates;
-    adaptive_width_sum += adaptive.stats.adaptive_batch_width_sum;
-  }
-  // The sizing actually ran, and every chosen width was in [1, max].
-  EXPECT_GT(adaptive_updates, 0u);
-  EXPECT_GE(adaptive_width_sum, adaptive_updates);
-  EXPECT_LE(adaptive_width_sum, adaptive_updates * 8);
-  // No solve-count regression beyond 10% headroom against the fixed width.
-  EXPECT_LE(adaptive_solves * 10, fixed_solves * 11)
-      << "adaptive=" << adaptive_solves << " fixed=" << fixed_solves
-      << " — adaptive batch width regressed candidate-drop solves";
-}
-
 }  // namespace
 }  // namespace pilot::ic3

@@ -30,6 +30,18 @@ TEST(OptionParser, ParsesTypedFlags) {
   EXPECT_EQ(name, "abc");
 }
 
+TEST(OptionParser, ListOptionCollectsEveryOccurrence) {
+  std::vector<std::string> items;
+  OptionParser p("test");
+  p.add_list("set", &items, "");
+  const char* argv[] = {"prog", "--set", "a=1", "model.aag", "--set=b=2"};
+  ASSERT_TRUE(p.parse(5, argv));
+  const std::vector<std::string> want = {"a=1", "b=2"};
+  EXPECT_EQ(items, want);
+  ASSERT_EQ(p.positional().size(), 1u);
+  EXPECT_EQ(p.positional()[0], "model.aag");
+}
+
 TEST(OptionParser, NoPrefixDisablesFlag) {
   bool flag = true;
   OptionParser p("test");

@@ -171,6 +171,31 @@ TEST(CheckerPortfolio, DefaultMixMatchesSingleEngineVerdicts) {
             ic3::Verdict::kUnsafe);
 }
 
+TEST(CheckerPortfolio, PatchReachesEveryMember) {
+  // Only the winner's stats come back, so each member races alone: with
+  // inprocessing on, every one of them subsumes, vivifies or probes on
+  // this ring; the patch turns that off in IC3 members and kind alike.
+  const auto cc = circuits::token_ring_safe(6);
+  const auto inprocess_work = [](const ic3::Ic3Stats& s) {
+    return s.sat_subsumed_clauses + s.sat_strengthened_clauses +
+           s.sat_vivified_literals + s.sat_probe_failed_literals +
+           s.sat_scc_merged_vars;
+  };
+  for (const char* member : {"ic3-down", "ic3-ctg-pl", "pdr", "kind"}) {
+    CheckOptions opts;
+    opts.engine_spec = std::string("portfolio:") + member;
+    const CheckResult on = check_aig(cc.aig, opts);
+    EXPECT_EQ(on.verdict, ic3::Verdict::kSafe) << member;
+    EXPECT_GT(inprocess_work(on.stats), 0u) << member;
+
+    opts.patch = ic3::ConfigPatch::parse({"sat_inprocess=off"});
+    const CheckResult off = check_aig(cc.aig, opts);
+    EXPECT_EQ(off.verdict, ic3::Verdict::kSafe) << member;
+    EXPECT_EQ(off.stats.sat_probe_failed_literals, 0u) << member;
+    EXPECT_EQ(inprocess_work(off.stats), 0u) << member;
+  }
+}
+
 TEST(CheckerPortfolio, BadSpecThrows) {
   const auto cc = circuits::mutex_safe();
   CheckOptions opts;

@@ -140,6 +140,75 @@ TEST(ResultsDb, LoadSkipsATornFinalLine) {
   EXPECT_THROW((void)ResultsDb::load(file.str()), std::runtime_error);
 }
 
+TEST(ResultsDb, WriterCutsATornTailBeforeAppending) {
+  TempFile file("torn_append");
+  const std::string last =
+      to_json(make_row("b", "bmc", ic3::Verdict::kUnsafe, 0.2)).dump();
+  {
+    std::ofstream out(file.str(), std::ios::binary);
+    out << to_json(make_row("a", "bmc", ic3::Verdict::kSafe, 0.1)).dump()
+        << "\n"
+        << last.substr(0, last.size() / 2);  // a writer killed mid-line
+  }
+  {
+    ResultsDb::Writer writer(file.str());
+    writer.append(make_row("c", "bmc", ic3::Verdict::kSafe, 0.3));
+  }
+  const ResultsDb db = ResultsDb::load(file.str());
+  ASSERT_EQ(db.rows().size(), 2u);
+  EXPECT_EQ(db.rows()[0].record.case_name, "a");
+  EXPECT_EQ(db.rows()[1].record.case_name, "c");
+  EXPECT_EQ(db.torn_lines(), 0u);
+
+  // An intact last row without its newline is kept and ended first.
+  {
+    std::ofstream out(file.str(), std::ios::binary | std::ios::trunc);
+    out << last;
+  }
+  {
+    ResultsDb::Writer writer(file.str());
+    writer.append(make_row("d", "bmc", ic3::Verdict::kSafe, 0.4));
+  }
+  const ResultsDb joined = ResultsDb::load(file.str());
+  ASSERT_EQ(joined.rows().size(), 2u);
+  EXPECT_EQ(joined.rows()[0].record.case_name, "b");
+  EXPECT_EQ(joined.rows()[1].record.case_name, "d");
+}
+
+TEST(ResultsDb, CampaignPatchRoundTripsThroughTheSetField) {
+  const ic3::ConfigPatch patch =
+      ic3::ConfigPatch::parse({"sat_inprocess=off", "gen_batch=1"});
+  RunRow row = make_row("a", "ic3-ctg", ic3::Verdict::kSafe, 0.5);
+  row.context = make_run_context("tests/corpus", 2000, 0, patch);
+  const json::Value v = to_json(row);
+  ASSERT_EQ(v.at("set").as_array().size(), 2u);
+  EXPECT_EQ(v.at("set").as_array()[1].as_string(), "sat_inprocess=off");
+
+  TempFile file("patch");
+  ResultsDb db;
+  db.add(row);
+  db.save(file.str());
+  const ResultsDb back = ResultsDb::load(file.str());
+  ASSERT_EQ(back.rows().size(), 1u);
+  EXPECT_EQ(back.rows()[0].context.patch, patch);
+  EXPECT_EQ(back.rows()[0].context.patch.sat_inprocess(),
+            std::optional<bool>(false));
+
+  // Rows written before "set" existed recorded only "gen":"X".
+  json::Object legacy = to_json(make_row("a", "ic3-ctg", ic3::Verdict::kSafe,
+                                         0.5))
+                            .as_object();
+  legacy["gen"] = "down";
+  EXPECT_EQ(row_from_json(json::Value(legacy)).context.patch,
+            ic3::ConfigPatch::parse({"gen=down"}));
+
+  // An unknown key fails the row instead of silently dropping a setting.
+  json::Object unknown = v.as_object();
+  unknown["set"] = json::Array{json::Value("nosuch=1")};
+  EXPECT_THROW((void)row_from_json(json::Value(unknown)),
+               std::invalid_argument);
+}
+
 TEST(ResultsDb, MergeKeepsLastRowPerCaseEngineKey) {
   ResultsDb db;
   db.add(make_row("a", "ic3-ctg", ic3::Verdict::kSafe, 0.5));

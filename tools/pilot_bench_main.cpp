@@ -5,7 +5,7 @@
 /// against a baseline for CI regression gating.
 ///
 ///   pilot-bench run --corpus <manifest|dir|suite:SIZE> --engines a+b
-///       [--budget-ms N] [--jobs N] [--out runs.jsonl]
+///       [--budget-ms N] [--jobs N] [--out runs.jsonl] [--set key=value]...
 ///       [--certify] [--cert-dir DIR] [--shard i/n]
 ///       [--cache cache.jsonl] [--advise-from history.jsonl]
 ///   pilot-bench merge --out merged.jsonl <shard.jsonl>...
@@ -28,8 +28,8 @@
 /// family parameter that still reproduces it.
 ///
 /// `diff` with one file re-runs the campaign recorded in the baseline rows
-/// (same corpus, engines, budget, seed) and compares — the single command
-/// CI calls.  Newly-unsolved cases and verdict flips (a soundness alarm)
+/// (same corpus, engines, budget, seed, --set patch) and compares — the
+/// single command CI calls.  Newly-unsolved cases and verdict flips (a soundness alarm)
 /// fail the diff; time regressions beyond the threshold are reported, and
 /// fail only with --fail-on-time.
 ///
@@ -103,27 +103,49 @@ std::vector<std::string> split_engines(const std::string& text) {
   return out;
 }
 
+/// A patch as its space-separated items ("(none)" when empty).
+std::string describe_patch(const ic3::ConfigPatch& patch) {
+  std::string out;
+  for (const std::string& item : patch.items()) {
+    out += (out.empty() ? "" : " ") + item;
+  }
+  return out.empty() ? "(none)" : out;
+}
+
+/// Prints a campaign's errors, expectation mismatches and totals.
+/// Returns 0 when clean, 1 on mismatches, 3 when a case failed to load.
 int report_campaign(const std::vector<check::RunRecord>& records,
                     const std::string& out_path) {
+  std::size_t solved = 0;
+  std::size_t mismatches = 0;
+  std::size_t errors = 0;
   for (const check::RunRecord& r : records) {
     if (!r.error.empty()) {
+      ++errors;
       std::fprintf(stderr, "[pilot-bench] %s: ERROR %s\n",
                    r.case_name.c_str(), r.error.c_str());
-    } else if (corpus::record_mismatch(r)) {
+      continue;
+    }
+    if (!r.solved) continue;
+    ++solved;
+    if (r.expected != corpus::Expected::kUnknown &&
+        corpus::expected_from_safe(r.verdict == ic3::Verdict::kSafe) !=
+            r.expected) {
+      ++mismatches;
       std::fprintf(stderr,
                    "[pilot-bench] MISMATCH %s × %s: got %s, expected %s\n",
                    r.case_name.c_str(), r.engine.c_str(),
                    ic3::to_string(r.verdict), corpus::to_string(r.expected));
     }
   }
-  const corpus::CampaignSummary s = corpus::summarize_campaign(records);
   std::fprintf(stderr,
                "[pilot-bench] %zu records: %zu solved, %zu unknown, "
                "%zu mismatches, %zu errors%s%s\n",
-               s.total, s.solved, s.unknown, s.mismatches, s.errors,
+               records.size(), solved, records.size() - solved - errors,
+               mismatches, errors,
                out_path.empty() ? "" : " — rows appended to ",
                out_path.c_str());
-  return s.exit_code();
+  return errors > 0 ? 3 : (mismatches > 0 ? 1 : 0);
 }
 
 /// Runs one campaign and appends its rows to `writer`.
@@ -152,7 +174,7 @@ std::vector<check::RunRecord> run_campaign(
       check::run_matrix(cases, engines, options);
 
   const corpus::RunContext context = corpus::make_run_context(
-      corpus_spec, options.budget_ms, options.seed, options.gen_spec);
+      corpus_spec, options.budget_ms, options.seed, options.patch);
   for (const check::RunRecord& r : records) {
     corpus::RunRow row{r, context};
     if (writer != nullptr) writer->append(row);
@@ -164,16 +186,11 @@ std::vector<check::RunRecord> run_campaign(
 int cmd_run(int argc, const char* const* argv) {
   std::string corpus_spec;
   std::string engines_text = "ic3-ctg-pl";
-  std::string gen_spec;
+  std::vector<std::string> set_items;
   std::int64_t budget_ms = 2000;
   std::int64_t jobs = 0;
   std::int64_t seed = 0;
   std::string out_path;
-  std::string lift_sim;
-  std::string ternary_filter;
-  std::string sat_inprocess;
-  std::int64_t gen_batch = -1;
-  std::string gen_batch_adaptive;
   bool truncate = false;
   bool verify_witness = true;
   bool certify = false;
@@ -190,26 +207,10 @@ int cmd_run(int argc, const char* const* argv) {
   parser.add_string("engines", &engines_text,
                     "engine specs, '+'-separated (use ',' when a portfolio "
                     "spec contains '+')");
-  parser.add_string("gen", &gen_spec,
-                    "generalization-strategy override for the IC3-family "
-                    "engines (down|ctg|cav23|predict|dynamic[:w,t])");
-  parser.add_choice("lift-sim", &lift_sim, {"packed", "byte"},
-                    "ternary-simulation backend for the lifter (default "
-                    "packed; byte for A/B)");
-  parser.add_choice("gen-ternary-filter", &ternary_filter, {"on", "off"},
-                    "ternary drop-filter in the MIC core (default on; off "
-                    "for A/B)");
-  parser.add_choice("sat-inprocess", &sat_inprocess, {"on", "off"},
-                    "SAT inprocessing: subsumption/vivification (IC3), "
-                    "probing/SCC collapsing (BMC/k-ind); default on, off "
-                    "for A/B");
-  parser.add_int("gen-batch", &gen_batch,
-                 "MIC candidate drops answered per SAT solve (1 = "
-                 "sequential; default 4)");
-  parser.add_choice("gen-batch-adaptive", &gen_batch_adaptive, {"on", "off"},
-                    "size MIC probe batches from the observed probe failure "
-                    "rate instead of the fixed --gen-batch width (default "
-                    "off)");
+  parser.add_list("set", &set_items,
+                  "engine setting key=value for every engine of the "
+                  "campaign, recorded in each row (see `pilot --help` for "
+                  "the keys)");
   parser.add_string("shard", &shard_text,
                     "run only shard i of n (\"i/n\"): a deterministic "
                     "content-hash partition, reassembled with `pilot-bench "
@@ -244,25 +245,7 @@ int cmd_run(int argc, const char* const* argv) {
 
   check::RunMatrixOptions options;
   options.budget_ms = budget_ms;
-  options.gen_spec = gen_spec;
-  if (!lift_sim.empty()) {
-    options.lift_sim = lift_sim == "byte" ? ic3::Config::LiftSim::kByte
-                                          : ic3::Config::LiftSim::kPacked;
-  }
-  if (!ternary_filter.empty()) {
-    options.gen_ternary_filter = ternary_filter == "on";
-  }
-  if (!sat_inprocess.empty()) options.sat_inprocess = sat_inprocess == "on";
-  if (gen_batch == 0 || gen_batch < -1) {
-    std::fprintf(stderr,
-                 "pilot-bench run: --gen-batch must be >= 1 (1 = "
-                 "sequential)\n");
-    return 3;
-  }
-  if (gen_batch >= 1) options.gen_batch = static_cast<int>(gen_batch);
-  if (!gen_batch_adaptive.empty()) {
-    options.gen_batch_adaptive = gen_batch_adaptive == "on";
-  }
+  options.patch = ic3::ConfigPatch::parse(set_items);
   options.jobs = static_cast<std::size_t>(jobs);
   options.seed = static_cast<std::uint64_t>(seed);
   options.verify_witness = verify_witness;
@@ -667,7 +650,7 @@ int cmd_diff(int argc, const char* const* argv) {
       "pilot-bench diff — compare a campaign against a baseline results "
       "db.\nusage: pilot-bench diff <baseline.jsonl> [<current.jsonl>]\n"
       "With one file, the baseline's recorded campaign (corpus, engines, "
-      "budget, seed, --gen override) is re-run and compared.");
+      "budget, seed, --set patch) is re-run and compared.");
   parser.add_double("time-threshold", &time_threshold,
                     "cur/base runtime ratio counted as a regression");
   parser.add_double("min-seconds", &min_seconds,
@@ -712,17 +695,18 @@ int cmd_diff(int argc, const char* const* argv) {
                      ctx.corpus.c_str(), row.context.corpus.c_str());
         return 3;
       }
-      if (row.context.gen_spec != ctx.gen_spec) {
+      if (row.context.patch != ctx.patch) {
         std::fprintf(stderr,
-                     "pilot-bench diff: baseline mixes --gen overrides "
-                     "('%s' vs '%s'); pass a current.jsonl explicitly\n",
-                     ctx.gen_spec.c_str(), row.context.gen_spec.c_str());
+                     "pilot-bench diff: baseline mixes --set patches ('%s' "
+                     "vs '%s'); pass a current.jsonl explicitly\n",
+                     describe_patch(ctx.patch).c_str(),
+                     describe_patch(row.context.patch).c_str());
         return 3;
       }
     }
     check::RunMatrixOptions options;
     options.budget_ms = ctx.budget_ms;
-    options.gen_spec = ctx.gen_spec;  // reproduce the recorded campaign
+    options.patch = ctx.patch;  // reproduce the recorded campaign
     options.seed = ctx.seed;
     options.jobs = static_cast<std::size_t>(jobs);
     options.strict = false;

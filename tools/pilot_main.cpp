@@ -2,32 +2,25 @@
 /// `pilot` — the top-level command-line model checker built on pilot_core.
 ///
 ///   pilot [options] model.aag|model.aig        check an AIGER file
-///   pilot [options] m1.aag m2.aig ...          batch-check several files
-///   pilot --corpus <manifest|dir> [options]    batch-check a corpus
 ///   pilot --family FAMILY [options]            check a built-in circuit
 ///   pilot --family FAMILY --family-out out.aag write the circuit, don't check
 ///   pilot serve --socket PATH [options]        Unix-socket verdict server
 ///   pilot submit --socket PATH file.aag ...    client for a running server
 ///
 /// Engine selection: `--engine` picks a backend (or portfolio[:a+b+c] /
-/// portfolio-x[:a+b+c] with lemma exchange); `--gen` overrides the
-/// generalization strategy of IC3-family engines (down / ctg / cav23 /
-/// predict / dynamic[:window,threshold] — see ic3/gen_strategy.hpp).
+/// portfolio-x[:a+b+c] with lemma exchange); each repeatable
+/// `--set key=value` adjusts one engine setting (ic3::ConfigPatch, e.g.
+/// `--set gen=dynamic:16,0.4 --set sat_inprocess=off`).
 ///
-/// Single-file mode prints the verdict as one line (SAFE / UNSAFE /
-/// UNKNOWN) on stdout; diagnostics go to stderr.  With --witness, UNSAFE
-/// runs print the counterexample in the AIGER/HWMCC witness format and SAFE
-/// runs print the "0\nb<index>\n." certificate header.
-///
-/// Batch mode (--corpus, or more than one input file) runs every case with
-/// the selected engine and emits one results-db JSONL row per case — the
-/// same schema `pilot-bench run` writes (corpus/results_db.hpp) — to --out,
-/// or to stdout when --out is not given.
+/// The verdict is printed as one line (SAFE / UNSAFE / UNKNOWN) on stdout;
+/// diagnostics go to stderr.  With --witness, UNSAFE runs print the
+/// counterexample in the AIGER/HWMCC witness format and SAFE runs print the
+/// "0\nb<index>\n." certificate header.  Campaigns over several models
+/// are `pilot-bench run`'s job.
 ///
 /// Exit codes (HWMCC convention, shared with examples/aiger_check):
-///   0 = SAFE, 1 = UNSAFE, 2 = UNKNOWN, 3 = usage/parse/internal error
-/// Batch mode: 0 = completed, 1 = a verdict contradicted the manifest's
-/// expected status, 3 = a case failed to load or a usage/internal error.
+///   0 = SAFE, 1 = UNSAFE, 2 = UNKNOWN, 3 = usage/parse/internal error,
+///   4 = certification failure
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -44,9 +37,7 @@
 #include "aig/aiger_io.hpp"
 #include "cert/certificate.hpp"
 #include "check/checker.hpp"
-#include "check/runner.hpp"
 #include "circuits/families.hpp"
-#include "corpus/corpus.hpp"
 #include "corpus/results_db.hpp"
 #include "engine/backend.hpp"
 #include "engine/portfolio.hpp"
@@ -67,9 +58,10 @@ namespace {
 
 using FamilyFn = circuits::CircuitCase (*)(std::int64_t n);
 
-/// Built-in circuits from circuits/families, each scaled by a single `--gen-n`
-/// knob (0 → the family's default size).  SAFE and UNSAFE variants are both
-/// exposed so smoke tests can exercise every verdict without input files.
+/// Built-in circuits from circuits/families, each scaled by a single
+/// `--family-n` knob (0 → the family's default size).  SAFE and UNSAFE
+/// variants are both exposed so smoke tests can exercise every verdict
+/// without input files.
 const std::map<std::string, FamilyFn>& family_registry() {
   static const std::map<std::string, FamilyFn> kRegistry = {
       {"counter-unsafe",
@@ -436,14 +428,8 @@ int main(int argc, char** argv) {
   }
 
   std::string engine = "ic3-ctg-pl";
-  std::string gen_spec;
-  std::string lift_sim;
-  std::string ternary_filter;
-  std::string sat_inprocess;
-  std::int64_t gen_batch = -1;
-  std::string gen_batch_adaptive;
+  std::vector<std::string> set_items;
   std::string cache_path;
-  std::string history_path;
   bool exchange = false;
   std::int64_t budget_ms = 0;
   std::int64_t seed = 0;
@@ -454,9 +440,6 @@ int main(int argc, char** argv) {
   bool list_families = false;
   std::string family;
   std::string family_out;
-  std::string corpus_spec;
-  std::int64_t jobs = 0;
-  std::string out_path;
   std::string trace_path;
   double progress_secs = 0.0;
   std::string stats_json_path;
@@ -480,42 +463,21 @@ int main(int argc, char** argv) {
       "; or portfolio[:a+b+c] to race several backends (first verdict "
       "wins), portfolio-x[:a+b+c] to race with lemma exchange";
   parser.add_string("engine", &engine, engine_help);
-  std::string gen_help =
-      "generalization strategy override for IC3-family engines:";
-  for (const std::string& name : ic3::gen_strategy_names()) {
-    gen_help += " " + name;
+  std::string set_help = "engine setting key=value (later wins); keys:";
+  for (const std::string& key : ic3::ConfigPatch::keys()) {
+    set_help += " " + key;
   }
-  gen_help += "; dynamic takes ':window,threshold' (e.g. dynamic:16,0.4)";
-  parser.add_string("gen", &gen_spec, gen_help);
-  parser.add_choice("lift-sim", &lift_sim, {"packed", "byte"},
-                    "ternary-simulation backend for the lifter: bit-packed "
-                    "(32 patterns/word, default) or the byte-wise reference "
-                    "simulator (A/B)");
-  parser.add_choice("gen-ternary-filter", &ternary_filter, {"on", "off"},
-                    "ternary drop-filter in the MIC core: skip "
-                    "relative-induction solves a cached counterexample "
-                    "already defeats (default on; off for A/B)");
-  parser.add_choice("sat-inprocess", &sat_inprocess, {"on", "off"},
-                    "SAT inprocessing: lemma-install subsumption and frame "
-                    "boundary vivification (IC3), failed-literal probing "
-                    "and binary-SCC collapsing (BMC/k-induction); default "
-                    "on, off for A/B");
-  parser.add_int("gen-batch", &gen_batch,
-                 "batched generalization probes: MIC candidate drops "
-                 "answered per SAT solve (1 = sequential, default 4; ctg "
-                 "generalization is never batched)");
-  parser.add_choice("gen-batch-adaptive", &gen_batch_adaptive, {"on", "off"},
-                    "size MIC probe batches from the observed probe failure "
-                    "rate instead of the fixed --gen-batch width (default "
-                    "off)");
+  set_help += "; gen takes a strategy:";
+  for (const std::string& name : ic3::gen_strategy_names()) {
+    set_help += " " + name;
+  }
+  set_help += " (dynamic[:window,threshold])";
+  parser.add_list("set", &set_items, set_help);
   parser.add_string("cache", &cache_path,
                     "JSONL verdict cache keyed by the canonical AIG hash: "
                     "serve a hit only after its stored certificate "
                     "re-checks, store new certified verdicts (created when "
                     "missing)");
-  parser.add_string("history", &history_path,
-                    "batch mode: results db mined for engine/budget advice "
-                    "on cache misses");
   parser.add_flag("exchange", &exchange,
                   "portfolio runs: share validated lemmas between the "
                   "racing IC3 backends (same as the portfolio-x spec)");
@@ -527,11 +489,10 @@ int main(int argc, char** argv) {
                   "--no-verify-witness to skip)");
   std::string certify_out;
   parser.add_string("certify", &certify_out,
-                    "emit the verdict's certificate and independently "
-                    "re-check it (exit 4 on failure).  Single-file mode: "
-                    "certificate file path (invariant certificates also "
-                    "write a <path>.aag certificate circuit); batch mode: "
-                    "existing directory for per-case certificates");
+                    "emit the verdict's certificate to this path, "
+                    "independently re-checked (exit 4 on failure); "
+                    "invariant certificates also write a <path>.aag "
+                    "certificate circuit");
   parser.add_flag("stats", &show_stats, "print engine statistics to stderr");
   parser.add_flag("witness", &print_witness,
                   "print the certificate in AIGER/HWMCC witness format");
@@ -545,14 +506,6 @@ int main(int argc, char** argv) {
                     "exit without checking");
   parser.add_flag("list-families", &list_families,
                   "list built-in circuit families");
-  parser.add_string("corpus", &corpus_spec,
-                    "batch-check a corpus: a manifest.json, a directory of "
-                    ".aig/.aag files, or suite:tiny|quick|full");
-  parser.add_int("jobs", &jobs,
-                 "batch mode: worker threads (0 = hardware concurrency)");
-  parser.add_string("out", &out_path,
-                    "batch mode: append results-db JSONL rows to this file "
-                    "(default: stdout)");
   parser.add_string("trace", &trace_path,
                     "write a Chrome trace-event JSON of the run to this "
                     "path (open in Perfetto / chrome://tracing)");
@@ -591,8 +544,7 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  // Exports the (process-global) trace once the run is over; shared by the
-  // batch and single-check paths.
+  // Exports the (process-global) trace once the run is over.
   const auto dump_trace = [&trace_path]() {
     if (trace_path.empty()) return true;
     if (!obs::write_chrome_trace(trace_path)) {
@@ -608,16 +560,9 @@ int main(int argc, char** argv) {
   };
 
   try {
-    // Validate the strategy spec before any work: an unknown name or a
-    // malformed ':args' suffix names the offending token and lists the
-    // registered strategies.
-    if (!gen_spec.empty()) ic3::validate_gen_spec(gen_spec);
-
-    if (gen_batch == 0 || gen_batch < -1) {
-      std::fprintf(stderr,
-                   "pilot: --gen-batch must be >= 1 (1 = sequential)\n");
-      return 3;
-    }
+    // Validate the settings before any work: an unknown key or a bad value
+    // names the offending item and lists the valid keys.
+    const ic3::ConfigPatch patch = ic3::ConfigPatch::parse(set_items);
 
     // --exchange only changes portfolio races; say so instead of silently
     // running a single engine the user believes is sharing lemmas.
@@ -628,109 +573,12 @@ int main(int argc, char** argv) {
                    engine.c_str());
     }
 
-    // --- batch mode: --corpus and/or several input files -------------------
-    if (!corpus_spec.empty() || parser.positional().size() > 1) {
-      if (!family.empty() || !family_out.empty()) {
-        std::fprintf(stderr, "pilot: --family and batch mode are exclusive\n");
-        return 3;
-      }
-      std::vector<corpus::Case> cases;
-      if (!corpus_spec.empty()) {
-        cases = corpus::resolve_corpus(corpus_spec);
-      }
-      for (const std::string& path : parser.positional()) {
-        corpus::Case c;
-        const std::size_t slash = path.find_last_of("/\\");
-        const std::string base =
-            slash == std::string::npos ? path : path.substr(slash + 1);
-        const std::size_t dot = base.find_last_of('.');
-        c.name = dot == std::string::npos ? base : base.substr(0, dot);
-        c.family = "aiger";
-        c.source = path;
-        c.load = [path]() { return aig::read_aiger_file(path); };
-        cases.push_back(std::move(c));
-      }
-      if (cases.empty()) {
-        std::fprintf(stderr, "pilot: corpus '%s' has no cases\n",
-                     corpus_spec.c_str());
-        return 3;
-      }
-
-      check::RunMatrixOptions mo;
-      mo.budget_ms = budget_ms;
-      mo.gen_spec = gen_spec;
-      if (!lift_sim.empty()) {
-        mo.lift_sim = lift_sim == "byte" ? ic3::Config::LiftSim::kByte
-                                         : ic3::Config::LiftSim::kPacked;
-      }
-      if (!ternary_filter.empty()) {
-        mo.gen_ternary_filter = ternary_filter == "on";
-      }
-      if (!sat_inprocess.empty()) mo.sat_inprocess = sat_inprocess == "on";
-      if (gen_batch >= 1) mo.gen_batch = static_cast<int>(gen_batch);
-      if (!gen_batch_adaptive.empty()) {
-        mo.gen_batch_adaptive = gen_batch_adaptive == "on";
-      }
-      std::optional<serve::VerdictCache> cache;
-      if (!cache_path.empty()) {
-        cache.emplace(cache_path);
-        mo.cache = &*cache;
-        std::fprintf(stderr, "[pilot] cache %s: %zu entries loaded\n",
-                     cache_path.c_str(), cache->size());
-      }
-      serve::Advisor advisor;
-      if (!history_path.empty()) {
-        advisor = serve::Advisor::from_file(history_path);
-        mo.advisor = &advisor;
-        std::fprintf(stderr, "[pilot] advisor: %zu history rows from %s\n",
-                     advisor.size(), history_path.c_str());
-      }
-      mo.share_lemmas = exchange;
-      mo.seed = static_cast<std::uint64_t>(seed);
-      mo.jobs = static_cast<std::size_t>(jobs);
-      mo.verify_witness = verify_witness;
-      if (!certify_out.empty()) {
-        mo.certify = true;
-        mo.cert_dir = certify_out;
-      }
-      mo.strict = false;  // report mismatches via the exit code instead
-      const std::vector<check::RunRecord> records =
-          check::run_matrix(cases, {engine}, mo);
-
-      const corpus::RunContext ctx = corpus::make_run_context(
-          corpus_spec.empty() ? "files" : corpus_spec, budget_ms,
-          static_cast<std::uint64_t>(seed), gen_spec);
-      corpus::ResultsDb::Writer writer(out_path);
-      for (const check::RunRecord& r : records) {
-        writer.append({r, ctx});
-        if (!r.error.empty()) {
-          std::fprintf(stderr, "[pilot] %s: ERROR %s\n", r.case_name.c_str(),
-                       r.error.c_str());
-        }
-      }
-      if (!dump_trace()) return 3;
-      std::size_t cert_failures = 0;
-      for (const check::RunRecord& r : records) {
-        if (!r.cert_status.empty() && r.cert_status != "ok") ++cert_failures;
-      }
-      const corpus::CampaignSummary s = corpus::summarize_campaign(records);
+    if (parser.positional().size() > 1) {
       std::fprintf(stderr,
-                   "[pilot] %zu cases with %s: %zu solved, %zu unknown, "
-                   "%zu mismatches, %zu errors%s%s\n",
-                   s.total, engine.c_str(), s.solved, s.unknown,
-                   s.mismatches, s.errors,
-                   out_path.empty() ? "" : ", rows appended to ",
-                   out_path.c_str());
-      if (cache.has_value()) {
-        std::fprintf(stderr, "[pilot] cache: %s\n",
-                     cache->summary().c_str());
-      }
-      if (cert_failures > 0) {
-        std::fprintf(stderr, "[pilot] %zu certificate check failure%s\n",
-                     cert_failures, cert_failures == 1 ? "" : "s");
-        return 4;
-      }
-      return s.exit_code();
+                   "pilot: checks one model (got %zu); run a campaign over "
+                   "several with `pilot-bench run --corpus <dir>`\n",
+                   parser.positional().size());
+      return 3;
     }
 
     aig::Aig model;
@@ -775,19 +623,7 @@ int main(int argc, char** argv) {
 
     check::CheckOptions opts;
     opts.engine_spec = engine;  // resolved against the backend registry
-    opts.gen_spec = gen_spec;
-    if (!lift_sim.empty()) {
-      opts.lift_sim = lift_sim == "byte" ? ic3::Config::LiftSim::kByte
-                                         : ic3::Config::LiftSim::kPacked;
-    }
-    if (!ternary_filter.empty()) {
-      opts.gen_ternary_filter = ternary_filter == "on";
-    }
-    if (!sat_inprocess.empty()) opts.sat_inprocess = sat_inprocess == "on";
-    if (gen_batch >= 1) opts.gen_batch = static_cast<int>(gen_batch);
-    if (!gen_batch_adaptive.empty()) {
-      opts.gen_batch_adaptive = gen_batch_adaptive == "on";
-    }
+    opts.patch = patch;
     opts.share_lemmas = exchange;
     opts.budget_ms = budget_ms;
     opts.seed = static_cast<std::uint64_t>(seed);
@@ -801,11 +637,6 @@ int main(int argc, char** argv) {
     const ts::TransitionSystem ts =
         ts::TransitionSystem::from_aig(model, opts.property_index);
 
-    if (!history_path.empty()) {
-      std::fprintf(stderr,
-                   "[pilot] --history only informs batch mode (--corpus); "
-                   "ignored for a single model\n");
-    }
     std::optional<serve::VerdictCache> cache;
     std::string model_hash;
     if (!cache_path.empty()) {
