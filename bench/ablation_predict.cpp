@@ -1,6 +1,6 @@
 /// \file ablation_predict.cpp
-/// Ablations for the design choices DESIGN.md calls out (not a paper table;
-/// supports the analysis in §4.3 and the future-work discussion):
+/// Ablations of the prediction design choices (not a paper table; supports
+/// the analysis in §4.3 and the future-work discussion):
 ///   A. clearing failure_push at each propagation (paper line 44) vs never
 ///   B. diff-set refinement on failed candidates (line 27) vs naive retry
 ///   C. single-literal candidates (Eq. 6) vs up-to-two-literal extensions

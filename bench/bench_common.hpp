@@ -51,7 +51,7 @@ inline bool parse_bench_args(int argc, const char* const* argv,
   std::string save_db;
   OptionParser parser(description);
   parser.add_choice("suite", &suite, {"tiny", "quick", "full"},
-                    "benchmark suite size (HWMCC substitute, see DESIGN.md)");
+                    "benchmark suite size (synthetic HWMCC substitute)");
   parser.add_int("budget-ms", &budget_ms,
                  "per-case wall-clock budget in milliseconds");
   parser.add_int("jobs", &jobs, "worker threads (0 = hardware concurrency)");

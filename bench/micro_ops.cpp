@@ -20,7 +20,6 @@
 #include "sat/solver.hpp"
 #include "serve/verdict_cache.hpp"
 #include "ts/transition_system.hpp"
-#include "ts/unroller.hpp"
 #include "util/rng.hpp"
 
 using namespace pilot;
@@ -258,146 +257,6 @@ void BM_TernaryPacked_vs_Byte(benchmark::State& state) {
   state.SetItemsProcessed(patterns);
 }
 BENCHMARK(BM_TernaryPacked_vs_Byte)->Arg(0)->Arg(1);
-
-void BM_GenDropFilter(benchmark::State& state) {
-  // End-to-end engine cost with the generalization drop-filter off (Arg 0)
-  // and on (Arg 1); the filter trades a few lane reads per candidate for
-  // whole relative-induction solves.
-  const auto cc = circuits::token_ring_safe(12);
-  const ts::TransitionSystem ts = ts::TransitionSystem::from_aig(cc.aig);
-  for (auto _ : state) {
-    ic3::Config cfg;
-    cfg.gen_spec = "down";
-    cfg.gen_ternary_filter = state.range(0) != 0;
-    ic3::Engine engine(ts, cfg);
-    benchmark::DoNotOptimize(engine.check());
-  }
-}
-BENCHMARK(BM_GenDropFilter)->Arg(0)->Arg(1);
-
-void BM_SubsumeLemmaInstall(benchmark::State& state) {
-  // Lemma-clause install cost, plain add_clause (Arg 0) vs the
-  // occurrence-driven (self-)subsumption pass (Arg 1).  The stream mimics
-  // IC3 generalization output: many medium clauses, a third of them
-  // strict strengthenings of an earlier clause — exactly the shape where
-  // the subsuming install retires weaker lemmas in place.
-  constexpr int kVars = 160;
-  constexpr int kClauses = 400;
-  const bool subsuming = state.range(0) != 0;
-  Rng build_rng(67);
-  std::vector<std::vector<sat::Lit>> stream;
-  for (int i = 0; i < kClauses; ++i) {
-    if (i % 3 == 2 && stream[i - 1].size() > 3) {
-      // A strengthening: the previous clause minus one literal.
-      std::vector<sat::Lit> shrunk(stream[i - 1].begin(),
-                                   stream[i - 1].end() - 1);
-      stream.push_back(std::move(shrunk));
-      continue;
-    }
-    const int len = 4 + static_cast<int>(build_rng.below(5));
-    std::vector<sat::Lit> clause;
-    for (int j = 0; j < len; ++j) {
-      clause.push_back(sat::Lit::make(
-          static_cast<sat::Var>(build_rng.below(kVars)),
-          build_rng.chance(0.5)));
-    }
-    stream.push_back(std::move(clause));
-  }
-  std::int64_t installed = 0;
-  for (auto _ : state) {
-    sat::Solver solver;
-    for (int i = 0; i < kVars; ++i) solver.new_var();
-    solver.set_inprocess(subsuming);
-    for (const std::vector<sat::Lit>& clause : stream) {
-      if (subsuming) {
-        solver.add_clause_subsuming(clause);
-      } else {
-        solver.add_clause(clause);
-      }
-    }
-    benchmark::DoNotOptimize(solver.num_clauses());
-    installed += kClauses;
-  }
-  state.SetItemsProcessed(installed);
-}
-BENCHMARK(BM_SubsumeLemmaInstall)->Arg(0)->Arg(1);
-
-void BM_VivifyLearnts(benchmark::State& state) {
-  // Vivification of the newest long learnts, as maybe_rebuild() runs it at
-  // frame boundaries.  Each iteration regrows a fresh learnt database
-  // (untimed) from a planted 3-SAT core, then times one vivify pass.
-  constexpr int kVars = 160;
-  constexpr int kClauses = 680;
-  for (auto _ : state) {
-    state.PauseTiming();
-    Rng build_rng(41);
-    sat::Solver solver;
-    std::vector<bool> hidden;
-    for (int i = 0; i < kVars; ++i) {
-      solver.new_var();
-      hidden.push_back(build_rng.chance(0.5));
-    }
-    for (int i = 0; i < kClauses; ++i) {
-      std::vector<sat::Lit> clause;
-      bool satisfied = false;
-      for (int j = 0; j < 3; ++j) {
-        const auto v = static_cast<sat::Var>(build_rng.below(kVars));
-        const bool sign = build_rng.chance(0.5);
-        satisfied = satisfied || (sign == !hidden[v]);
-        clause.push_back(sat::Lit::make(v, sign));
-      }
-      if (!satisfied) clause.back() = ~clause.back();
-      solver.add_clause(clause);
-    }
-    solver.set_conflict_budget(400);
-    Rng rng(57);
-    for (int round = 0; round < 8; ++round) {
-      const std::vector<sat::Lit> assumptions{
-          sat::Lit::make(static_cast<sat::Var>(rng.below(kVars)),
-                         rng.chance(0.5)),
-          sat::Lit::make(static_cast<sat::Var>(rng.below(kVars)),
-                         rng.chance(0.5))};
-      solver.solve(assumptions);
-    }
-    state.ResumeTiming();
-    benchmark::DoNotOptimize(solver.vivify_learnts(256));
-  }
-}
-BENCHMARK(BM_VivifyLearnts);
-
-void BM_ProbeUnrolledCnf(benchmark::State& state) {
-  // Failed-literal probing over a BMC-style unrolled CNF, without (Arg 0)
-  // and with (Arg 1) binary-implication SCC collapsing — the pass the BMC
-  // and k-induction drivers run after each extend_to().
-  const auto cc = circuits::token_ring_safe(16);
-  const ts::TransitionSystem ts = ts::TransitionSystem::from_aig(cc.aig);
-  const bool collapse_scc = state.range(0) != 0;
-  for (auto _ : state) {
-    state.PauseTiming();
-    sat::Solver solver;
-    ts::Unroller unroller(ts, solver, /*assert_init=*/true);
-    unroller.extend_to(8);
-    state.ResumeTiming();
-    benchmark::DoNotOptimize(solver.probe_and_collapse(collapse_scc, 100000));
-  }
-}
-BENCHMARK(BM_ProbeUnrolledCnf)->Arg(0)->Arg(1);
-
-void BM_BatchedDropProbes(benchmark::State& state) {
-  // End-to-end engine cost as the generalization batch width grows: Arg is
-  // Config::gen_batch (1 = sequential drop loop, 4/8 = one batched solve
-  // answering that many candidate drops via variable-disjoint copies).
-  const auto cc = circuits::counter_wrap_safe(6, 32, 63);
-  const ts::TransitionSystem ts = ts::TransitionSystem::from_aig(cc.aig);
-  for (auto _ : state) {
-    ic3::Config cfg;
-    cfg.gen_spec = "down";
-    cfg.gen_batch = static_cast<int>(state.range(0));
-    ic3::Engine engine(ts, cfg);
-    benchmark::DoNotOptimize(engine.check());
-  }
-}
-BENCHMARK(BM_BatchedDropProbes)->Arg(1)->Arg(4)->Arg(8);
 
 void BM_CanonicalHash(benchmark::State& state) {
   // The serving layer's key derivation: one structural FNV-1a pass over the

@@ -3,7 +3,7 @@
 /// counts for the six configurations.
 ///
 /// Paper setting: HWMCC'15+'17 (730 cases), 1000 s, AMD EPYC 7532.
-/// Here: the synthetic suite (DESIGN.md §1) with a scaled budget.  The
+/// Here: the synthetic suite (circuits/families.hpp) with a scaled budget.  The
 /// expected *shape* is that each `-pl` configuration solves at least as
 /// many cases as its baseline, with the gains concentrated in safe cases
 /// (as in the paper: +9/+5 safe vs +1/+3 unsafe).

@@ -7,11 +7,6 @@
 namespace pilot::bmc {
 namespace {
 
-/// Cap on failed-literal probes per newly unrolled frame.  The solver's
-/// probe watermark already restricts each call to variables introduced
-/// since the last one, so the cap only guards degenerate frames.
-constexpr std::size_t kProbesPerFrame = 4096;
-
 void publish_bound(obs::ProgressSink* sink, int k,
                    const sat::SolverStats& stats) {
   if (sink == nullptr) return;
@@ -67,15 +62,6 @@ BmcResult run_bmc(const ts::TransitionSystem& ts, const BmcOptions& options,
     {
       obs::PhaseScope phase(&result.phases, obs::Phase::kUnroll);
       unroller.extend_to(k);
-    }
-    if (options.inprocess) {
-      // Probe only the variables this frame introduced (watermarked).  The
-      // binary-implication SCC sweep runs once, the first time a transition
-      // step is present; later frames reuse the same encoding shape, so the
-      // equivalences it would find are already root-implied by probing.
-      // If probing refutes the CNF outright, solve() below reports UNSAT.
-      obs::PhaseScope phase(&result.phases, obs::Phase::kSatInprocess);
-      solver.probe_and_collapse(/*collapse_scc=*/k == 1, kProbesPerFrame);
     }
     const std::vector<sat::Lit> assumptions{unroller.bad(k)};
     const sat::SolveResult res = [&] {

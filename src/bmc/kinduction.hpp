@@ -29,7 +29,7 @@ struct KindResult {
   std::optional<ic3::Trace> trace;  // when UNSAFE (base-case model)
   /// Combined base + step solver counters (campaigns record them).
   sat::SolverStats sat_stats;
-  /// Per-phase wall time (unroll / inprocess / solve).
+  /// Per-phase wall time (unroll / solve).
   obs::PhaseProfile phases;
 };
 
@@ -37,9 +37,6 @@ struct KindOptions {
   int max_k = 200;
   bool simple_path = true;
   std::uint64_t seed = 0;
-  /// Failed-literal probing of newly unrolled frames in the base and step
-  /// solvers (see BmcOptions::inprocess).  Verdict preserving.
-  bool inprocess = true;
   /// Live-progress channel (non-owning; may be null). Publishes the current
   /// k and combined SAT counters once per bound.
   obs::ProgressSink* progress = nullptr;

@@ -17,13 +17,11 @@ CheckOutcome failure(std::string reason) {
   return CheckOutcome{false, std::move(reason)};
 }
 
-/// The deliberately-different solver configuration: no trail reuse, no
-/// inprocessing, a perturbed seed and a slice of random decisions so the
-/// checker explores a fresh variable order instead of replaying the
-/// engine's.
+/// The deliberately-different solver configuration: no trail reuse, a
+/// perturbed seed and a slice of random decisions so the checker explores
+/// a fresh variable order instead of replaying the engine's.
 void configure_independent(sat::Solver& solver, std::uint64_t seed) {
   solver.set_trail_reuse(false);
-  solver.set_inprocess(false);
   solver.set_seed(seed ^ 0x9e3779b97f4a7c15ULL);
   solver.set_random_decision_freq(0.02);
 }

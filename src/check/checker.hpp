@@ -12,7 +12,7 @@
 /// certificate read CheckResult instead of checking again.
 ///
 /// The six configurations evaluated in the paper map onto specs as follows
-/// (DESIGN.md §2):
+/// (docs/ARCHITECTURE.md, "Experiment configurations"):
 ///   RIC3         → "ic3-down"     RIC3-pl      → "ic3-down-pl"
 ///   IC3ref       → "ic3-ctg"      IC3ref-pl    → "ic3-ctg-pl"
 ///   IC3ref-CAV23 → "ic3-cav23"    ABC-PDR      → "pdr"

@@ -1,7 +1,7 @@
 /// \file families.hpp
 /// Parameterized synthetic benchmark families with verdicts known by
-/// construction — the repository's substitute for the HWMCC'15/'17 sets
-/// (see DESIGN.md §1 for the substitution rationale).
+/// construction — the repository's substitute for the HWMCC'15/'17 sets,
+/// which are not shipped with it and would need a download.
 ///
 /// Every generator returns a `CircuitCase` whose `expected_safe` flag is
 /// guaranteed by the construction; unsafe cases additionally record the

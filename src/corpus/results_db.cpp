@@ -1,6 +1,7 @@
 #include "corpus/results_db.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <cstdlib>
 #include <ctime>
@@ -8,10 +9,22 @@
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 
+#include "util/log.hpp"
+
 namespace pilot::corpus {
+namespace {
+
+/// `--set` keys older builds accepted and this one retired.  Each selected
+/// only a verdict-preserving solve plan, so a row that carries one still
+/// reproduces its verdicts without it.
+constexpr std::array<std::string_view, 3> kRetiredKeys = {
+    "gen_batch", "gen_ternary_filter", "sat_inprocess"};
+
+}  // namespace
 
 json::Value stats_to_json(const ic3::Ic3Stats& s) {
   json::Object o;
@@ -37,13 +50,7 @@ json::Value stats_to_json(const ic3::Ic3Stats& s) {
   o["sat_binary_propagations"] = s.sat_binary_propagations;
   o["sat_glue_learnts"] = s.sat_glue_learnts;
   o["solver_rebuilds"] = s.num_solver_rebuilds;
-  // Ternary drop-filter / packed-simulation counters (PR 6): how many
-  // candidate-drop solves the cached-CTI filter screened and skipped, and
-  // the packed ternary-simulation volume behind it.
-  o["filter_checks"] = s.num_filter_checks;
-  o["filter_solves_saved"] = s.num_filter_solves_saved;
-  o["filter_witnesses"] = s.num_filter_witnesses;
-  o["filter_blocking_witnesses"] = s.num_filter_blocking_witnesses;
+  // Packed ternary-simulation volume of the lifter.
   o["packed_sim_words"] = s.num_packed_sim_words;
   // Generalization-strategy rows (PR 5): one object per strategy that ran,
   // sorted by name for stable serialization, plus the dynamic-switch and
@@ -78,24 +85,11 @@ json::Value stats_to_json(const ic3::Ic3Stats& s) {
   // row's verdict and how many failed (quarantines).
   o["cert_checks"] = s.num_cert_checks;
   o["cert_failures"] = s.num_cert_failures;
-  // Inprocessing / batched-probe counters (PR 7): subsumption and
-  // vivification work done in place, probing yield on unrolled CNFs, and
-  // how many MIC candidate drops each batched solve answered.
-  o["sat_subsumed"] = s.sat_subsumed_clauses;
-  o["sat_strengthened"] = s.sat_strengthened_clauses;
-  o["sat_vivified_lits"] = s.sat_vivified_literals;
-  o["sat_probe_failed_lits"] = s.sat_probe_failed_literals;
-  o["sat_scc_merged"] = s.sat_scc_merged_vars;
-  o["batched_drop_solves"] = s.num_batched_drop_solves;
-  o["batched_drop_answers"] = s.num_batched_drop_answers;
   o["rebuild_subsumed"] = s.num_rebuild_subsumed;
-  // Timing + per-phase profile (PR 8): coarse time_* fields plus one
+  // Timing + per-phase profile: total seconds plus one
   // {"seconds", "calls"} object per phase that actually ran, keyed by the
   // obs::phase_name string so rows stay readable and diffable.
   o["time_total"] = s.time_total;
-  o["time_generalize"] = s.time_generalize;
-  o["time_predict"] = s.time_predict;
-  o["time_propagate"] = s.time_propagate;
   if (!s.phases.empty()) {
     json::Object phases;
     for (std::size_t i = 0; i < obs::kPhaseCount; ++i) {
@@ -134,13 +128,6 @@ ic3::Ic3Stats stats_from_json(const json::Value& v) {
   s.sat_binary_propagations = v.at("sat_binary_propagations").as_uint();
   s.sat_glue_learnts = v.at("sat_glue_learnts").as_uint();
   s.num_solver_rebuilds = v.at("solver_rebuilds").as_uint();
-  // Ternary-filter fields (PR 6): absent in older rows — same null/0
-  // fallback as above keeps old baselines loadable.
-  s.num_filter_checks = v.at("filter_checks").as_uint();
-  s.num_filter_solves_saved = v.at("filter_solves_saved").as_uint();
-  s.num_filter_witnesses = v.at("filter_witnesses").as_uint();
-  s.num_filter_blocking_witnesses =
-      v.at("filter_blocking_witnesses").as_uint();
   s.num_packed_sim_words = v.at("packed_sim_words").as_uint();
   // Strategy / exchange fields (PR 5): absent in older rows — at() returns
   // null and the as_* fallbacks keep everything 0 / empty.
@@ -164,23 +151,11 @@ ic3::Ic3Stats stats_from_json(const json::Value& v) {
   // Certification fields (PR 9): absent in older rows — null/0 fallback.
   s.num_cert_checks = v.at("cert_checks").as_uint();
   s.num_cert_failures = v.at("cert_failures").as_uint();
-  // Inprocessing / batched-probe fields (PR 7): absent in older rows —
-  // the same null/0 fallback keeps pre-existing baselines loadable.
-  s.sat_subsumed_clauses = v.at("sat_subsumed").as_uint();
-  s.sat_strengthened_clauses = v.at("sat_strengthened").as_uint();
-  s.sat_vivified_literals = v.at("sat_vivified_lits").as_uint();
-  s.sat_probe_failed_literals = v.at("sat_probe_failed_lits").as_uint();
-  s.sat_scc_merged_vars = v.at("sat_scc_merged").as_uint();
-  s.num_batched_drop_solves = v.at("batched_drop_solves").as_uint();
-  s.num_batched_drop_answers = v.at("batched_drop_answers").as_uint();
   s.num_rebuild_subsumed = v.at("rebuild_subsumed").as_uint();
   // Timing + phases (PR 8): absent in older rows — the same null/0
   // fallback applies, and phase names a future build no longer knows are
   // skipped rather than rejected.
   s.time_total = v.at("time_total").as_double();
-  s.time_generalize = v.at("time_generalize").as_double();
-  s.time_predict = v.at("time_predict").as_double();
-  s.time_propagate = v.at("time_propagate").as_double();
   if (v.at("phases").is_object()) {
     for (const auto& [name, entry] : v.at("phases").as_object()) {
       const std::optional<obs::Phase> p = obs::phase_from_name(name);
@@ -240,7 +215,7 @@ json::Value to_json(const RunRow& row) {
   return json::Value(std::move(o));
 }
 
-RunRow row_from_json(const json::Value& v) {
+RunRow row_from_json(const json::Value& v, bool* dropped_retired) {
   RunRow row;
   check::RunRecord& r = row.record;
   r.case_name = v.at("case").as_string();
@@ -278,7 +253,14 @@ RunRow row_from_json(const json::Value& v) {
     set.push_back("gen=" + v.at("gen").as_string());
   }
   for (const json::Value& item : v.at("set").as_array()) {
-    set.push_back(item.as_string());
+    const std::string text = item.as_string();
+    const std::string key = text.substr(0, text.find('='));
+    if (std::find(kRetiredKeys.begin(), kRetiredKeys.end(), key) !=
+        kRetiredKeys.end()) {
+      if (dropped_retired != nullptr) *dropped_retired = true;
+      continue;
+    }
+    set.push_back(text);
   }
   row.context.patch = ic3::ConfigPatch::parse(set);
   return row;
@@ -327,10 +309,19 @@ ResultsDb ResultsDb::load(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) throw std::runtime_error("results db: cannot open " + path);
   ResultsDb db;
+  bool dropped_retired = false;
   db.tail_ = json::for_each_jsonl_line(
-      in, "results db " + path, [&db](const std::string& line) {
-        db.add(row_from_json(json::parse(line)));
+      in, "results db " + path, [&](const std::string& line) {
+        db.add(row_from_json(json::parse(line), &dropped_retired));
       });
+  if (dropped_retired) {
+    std::string keys;
+    for (const std::string_view key : kRetiredKeys) {
+      keys += (keys.empty() ? "" : ", ") + std::string(key);
+    }
+    PILOT_WARN("results db " << path << ": ignoring retired --set keys ("
+                             << keys << ")");
+  }
   return db;
 }
 

@@ -60,16 +60,19 @@ struct RunRow {
 };
 
 [[nodiscard]] json::Value to_json(const RunRow& row);
-/// Throws std::runtime_error on rows missing "case" or "engine".
-[[nodiscard]] RunRow row_from_json(const json::Value& value);
+/// Throws std::runtime_error on rows missing "case" or "engine".  `set`
+/// items whose key older builds accepted but this one retired are dropped;
+/// `dropped_retired`, when non-null, is set to true if any was.
+[[nodiscard]] RunRow row_from_json(const json::Value& value,
+                                   bool* dropped_retired = nullptr);
 
 /// The engine-statistics object embedded in every row's "stats" field —
 /// public so `pilot --stats-json` can emit the identical shape for a single
 /// run.  Includes per-phase wall time ("phases": name → {seconds, calls},
-/// nonzero phases only) and the coarse time_* fields.  stats_from_json is
-/// tolerant: fields absent in rows written by older builds load as 0/empty,
-/// and unknown phase names are skipped, so existing baselines never need
-/// regeneration.
+/// nonzero phases only) and time_total.  stats_from_json is tolerant:
+/// fields absent in rows written by older builds load as 0/empty, fields of
+/// counters this build no longer has are ignored, and unknown phase names
+/// are skipped, so existing baselines never need regeneration.
 [[nodiscard]] json::Value stats_to_json(const ic3::Ic3Stats& stats);
 [[nodiscard]] ic3::Ic3Stats stats_from_json(const json::Value& value);
 

@@ -57,7 +57,6 @@ class BmcBackend final : public Backend {
   BmcBackend(const ts::TransitionSystem& ts, const BackendContext& ctx)
       : ts_(ts) {
     options_.seed = ctx.seed;
-    options_.inprocess = ctx.patch.sat_inprocess().value_or(options_.inprocess);
     options_.progress = ctx.progress;
   }
 
@@ -94,7 +93,6 @@ class KinductionBackend final : public Backend {
   KinductionBackend(const ts::TransitionSystem& ts, const BackendContext& ctx)
       : ts_(ts) {
     options_.seed = ctx.seed;
-    options_.inprocess = ctx.patch.sat_inprocess().value_or(options_.inprocess);
     options_.progress = ctx.progress;
   }
 

@@ -64,8 +64,7 @@ struct EngineResult {
 struct BackendContext {
   std::uint64_t seed = 0;
   /// Engine settings applied on top of the name-derived configuration
-  /// (ic3/config.hpp): sat_inprocess reaches every backend, every other
-  /// key only the IC3-family ones.
+  /// (ic3/config.hpp); only the IC3-family backends read it.
   ic3::ConfigPatch patch;
   /// Portfolio lemma exchange endpoint for this backend (non-owning, may
   /// be null; engine/lemma_exchange.hpp).  IC3-family backends publish

@@ -22,16 +22,13 @@ struct Key {
 
 /// The key table, sorted by name.  Only settings some caller varies are
 /// listed: the CLI knobs and the SuYC24 §4.3 ablations.
-const std::array<Key, 8> kKeys{{
+const std::array<Key, 5> kKeys{{
     {"clear_failure_push_on_propagate",
      &Config::clear_failure_push_on_propagate},
     {"gen", &Config::gen_spec},
-    {"gen_batch", &Config::gen_batch, 1, 64},
-    {"gen_ternary_filter", &Config::gen_ternary_filter},
     {"predict_core_shrink", &Config::predict_core_shrink},
     {"predict_max_extra_lits", &Config::predict_max_extra_lits, 1, 2},
     {"predict_refine_diff", &Config::predict_refine_diff},
-    {"sat_inprocess", &Config::sat_inprocess},
 }};
 
 const Key* find_key(const std::string& name) {
@@ -107,12 +104,6 @@ void ConfigPatch::apply(Config& cfg) const {
       cfg.*std::get<std::string Config::*>(field) = value;
     }
   }
-}
-
-std::optional<bool> ConfigPatch::sat_inprocess() const {
-  const auto it = values_.find("sat_inprocess");
-  if (it == values_.end()) return std::nullopt;
-  return it->second == "on";
 }
 
 std::vector<std::string> ConfigPatch::items() const {

@@ -2,14 +2,13 @@
 /// IC3 engine configuration.
 ///
 /// The six experiment configurations of the paper map onto these knobs
-/// (see DESIGN.md §2): the `-pl` variants set `predict_lemmas = true`, the
-/// IC3ref/RIC3 baselines differ in `gen_mode`, and ABC-PDR is approximated
-/// by the kPdr profile.
+/// (docs/ARCHITECTURE.md, "Experiment configurations"): the `-pl` variants
+/// set `predict_lemmas = true`, the IC3ref/RIC3 baselines differ in
+/// `gen_mode`, and ABC-PDR is approximated by the kPdr profile.
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -100,13 +99,6 @@ struct Config {
   /// select.  Both produce bit-identical lifted cubes.
   enum class LiftSim { kPacked, kByte };
   LiftSim lift_sim = LiftSim::kPacked;
-  /// Ternary drop-filter in the shared MIC core (down/cav23 drop loops):
-  /// cache the CTI witness of each failed candidate-drop solve and skip a
-  /// later candidate when packed ternary simulation shows the cached
-  /// witness already defeats it.  Exact — only solves that would certainly
-  /// fail are skipped, so verdicts and invariants are unchanged; the off
-  /// position exists for A/B measurement.
-  bool gen_ternary_filter = true;
   bool reenqueue_obligations = true;
   /// Rebuild the main solver after this many retired temporary activation
   /// literals (controls junk accumulation).
@@ -118,18 +110,6 @@ struct Config {
   /// On by default; the off position exists for A/B measurement and for
   /// the verdict-equivalence tests.
   bool sat_trail_reuse = true;
-  /// SAT inprocessing: occurrence-list forward subsumption plus
-  /// self-subsuming resolution when lemma clauses are installed (a stronger
-  /// lemma retires weaker ones without waiting for a rebuild), and
-  /// vivification of long learnt clauses at frame boundaries.  Verdict
-  /// preserving; the off position exists for A/B measurement.
-  bool sat_inprocess = true;
-  /// Batched generalization probes: answer up to this many MIC candidate
-  /// drops with one relative-induction solve — UNSAT adopts the multi-drop
-  /// core, SAT attributes the CTI to every candidate whose single-drop
-  /// query it also witnesses.  1 disables batching (sequential drop loop);
-  /// ctgDown is never batched (it consumes each CTI individually).
-  int gen_batch = 4;
   /// Carry saved phases and (normalized) variable activities into the
   /// fresh solver when maybe_rebuild() retires one, instead of restarting
   /// the search heuristics from zero.
@@ -168,8 +148,7 @@ struct Config {
 /// of results rows).  Only parse() builds one, checking every key against
 /// the table in config.cpp and every value against its range, so a patch
 /// that exists is valid.  Each backend applies it once, in its
-/// constructor: sat_inprocess also reaches bmc and kind, every other key
-/// only IC3-family engines.
+/// constructor; only IC3-family engines read it.
 class ConfigPatch {
  public:
   /// Parses "key=value" items; a repeated key keeps its last value.
@@ -182,9 +161,6 @@ class ConfigPatch {
 
   /// Sets every patched field of `cfg`.
   void apply(Config& cfg) const;
-
-  /// The sat_inprocess setting, when patched.
-  [[nodiscard]] std::optional<bool> sat_inprocess() const;
 
   /// Canonical "key=value" items, sorted by key: parse(items()) == *this.
   [[nodiscard]] std::vector<std::string> items() const;

@@ -20,7 +20,6 @@ void Engine::add_lemma(const Cube& cube, std::size_t level) {
   std::size_t removed = 0;
   if (frames_.add_lemma(cube, level, &removed)) {
     solvers_.add_lemma_clause(cube, level);
-    generalizer_.on_lemma(cube, level);
     ++stats_.num_lemmas;
     stats_.num_subsumed_lemmas += removed;
     if (cfg_.lemma_bus != nullptr && !importing_) {
@@ -217,9 +216,6 @@ bool Engine::block(int root_index, const Deadline& deadline) {
       ++stats_.num_ctis;
       const Cube pred_full = solvers_.model_state(/*primed=*/false);
       const std::vector<Lit> inputs = solvers_.model_inputs();
-      // The predecessor satisfies R_{ob.level-1}, exactly the shape the
-      // drop-filter caches — donate it before lifting re-solves.
-      generalizer_.on_blocking_cti(pred_full, inputs, ob.level);
       const Cube pred =
           lifter_.lift_predecessor(pred_full, inputs, ob.cube, deadline);
       // push_back below may reallocate pool_, invalidating `ob` — snapshot
@@ -256,7 +252,6 @@ void Engine::publish_progress() {
 
 bool Engine::propagate(const Deadline& deadline) {
   obs::PhaseScope phase(&stats_.phases, obs::Phase::kPropagate);
-  Timer t;
   // Propagation boundary: strategies clear their failure tables (paper
   // line 44) and the dynamic meta-strategy evaluates its switching policy.
   generalizer_.on_propagate();
@@ -274,12 +269,7 @@ bool Engine::propagate(const Deadline& deadline) {
       if (solvers_.relative_inductive(c, i, /*cube_clause_in_frame=*/true,
                                       nullptr, deadline)) {
         frames_.remove_lemma(c, i);
-        if (frames_.add_lemma(c, i + 1)) {
-          solvers_.add_lemma_clause(c, i + 1);
-          // A push strengthens R_{i+1} (the clause moves up a frame), so
-          // frame-dependent strategy caches must hear about it too.
-          generalizer_.on_lemma(c, i + 1);
-        }
+        if (frames_.add_lemma(c, i + 1)) solvers_.add_lemma_clause(c, i + 1);
         ++stats_.num_push_successes;
       } else if (generalizer_.wants_push_failures()) {
         // Record the counterexample to propagation (paper lines 49-50).
@@ -289,7 +279,6 @@ bool Engine::propagate(const Deadline& deadline) {
     }
     if (frames_.delta(i).empty()) fixpoint = true;
   }
-  stats_.time_propagate += t.seconds();
   return fixpoint;
 }
 

@@ -107,20 +107,6 @@ void DynamicStrategy::on_propagate() {
   (void)evaluate_switch();
 }
 
-void DynamicStrategy::on_lemma(const Cube& lemma, std::size_t level) {
-  // Every candidate keeps its own frame-dependent caches current, not just
-  // the active one — a switch must not resurrect stale witnesses.
-  for (auto& c : candidates_) c->on_lemma(lemma, level);
-}
-
-void DynamicStrategy::on_blocking_cti(const Cube& state,
-                                      const std::vector<Lit>& inputs,
-                                      std::size_t level) {
-  // Same fan-out as on_lemma: a cached witness is valid for whichever
-  // candidate is active when the drop loop next runs.
-  for (auto& c : candidates_) c->on_blocking_cti(state, inputs, level);
-}
-
 std::size_t DynamicStrategy::pick_successor() const {
   // Exploration first: the nearest never-tried candidate after the active
   // one in rotation order.

@@ -55,9 +55,6 @@ class DynamicStrategy final : public GenStrategy {
   void on_push_failure(const Cube& lemma, std::size_t level,
                        Cube ctp) override;
   void on_propagate() override;
-  void on_lemma(const Cube& lemma, std::size_t level) override;
-  void on_blocking_cti(const Cube& state, const std::vector<Lit>& inputs,
-                       std::size_t level) override;
 
   // --- policy introspection (unit tests drive these directly) ---
 

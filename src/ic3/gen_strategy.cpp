@@ -4,11 +4,9 @@
 #include <map>
 #include <mutex>
 #include <stdexcept>
-#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
-#include "ic3/drop_filter.hpp"
 #include "ic3/gen_dynamic.hpp"
 #include "obs/phase.hpp"
 #include "ic3/predictor.hpp"
@@ -26,14 +24,7 @@ namespace {
 class FixedStrategy final : public GenStrategy {
  public:
   FixedStrategy(const GenContext& ctx, std::string name, GenMode mode)
-      : ctx_(ctx), name_(std::move(name)), mode_(mode) {
-    // The ternary drop-filter only applies to the plain drop loops: the
-    // ctg loop consumes the CTI model of every failed solve, so skipping
-    // a solve there would change its behaviour (see drop_filter.hpp).
-    if (ctx_.cfg.gen_ternary_filter && mode_ != GenMode::kCtg) {
-      filter_ = std::make_unique<DropFilter>(ctx_.ts, ctx_.stats);
-    }
-  }
+      : ctx_(ctx), name_(std::move(name)), mode_(mode) {}
 
   [[nodiscard]] const std::string& name() const override { return name_; }
 
@@ -41,21 +32,7 @@ class FixedStrategy final : public GenStrategy {
                   const Deadline& deadline,
                   const AddLemmaFn& add_lemma) override {
     (void)cube;  // drop loops start from the core-shrunk cube
-    // Witnesses persist across generalizations: every frame-strengthening
-    // install reaches the filter through on_lemma(), which keeps the cache
-    // exact without wholesale resets.
     return mic(core, level, /*depth=*/0, deadline, add_lemma);
-  }
-
-  void on_lemma(const Cube& lemma, std::size_t level) override {
-    if (filter_) filter_->on_lemma(lemma, level);
-  }
-
-  void on_blocking_cti(const Cube& state, const std::vector<Lit>& inputs,
-                       std::size_t level) override {
-    if (!filter_) return;
-    filter_->add_witness(state, inputs, level);
-    ++ctx_.stats.num_filter_blocking_witnesses;
   }
 
  private:
@@ -79,36 +56,11 @@ class FixedStrategy final : public GenStrategy {
     return order;
   }
 
-  /// Probe-group width for this mic() pass: Config::gen_batch, except
-  /// that ctgDown consumes each CTI individually and is never batched.
-  [[nodiscard]] std::size_t batch_width() const {
-    if (mode_ == GenMode::kCtg) return 1;
-    return static_cast<std::size_t>(std::max(1, ctx_.cfg.gen_batch));
-  }
-
   Cube mic(Cube cube, std::size_t level, int depth, const Deadline& deadline,
            const AddLemmaFn& add_lemma) {
-    const std::vector<Lit> order = order_literals(cube, level);
-    const std::size_t batch = batch_width();
-    // Candidates a batched CTI has defeated, keyed by literal index with
-    // the CTI's state cube as evidence.  A defeat is exact for the cube it
-    // was found against; after the cube shrinks it still holds iff the CTI
-    // state falsifies some OTHER remaining literal (the successor side
-    // only loses obligations), which defeat_holds re-checks lazily — so
-    // drops do not wipe the answers the probes already paid for.
-    std::unordered_map<std::int32_t, Cube> defeated;
-    const auto is_defeated = [&](Lit m) {
-      const auto it = defeated.find(m.index());
-      if (it == defeated.end()) return false;
-      if (defeat_holds(cube, m, it->second)) return true;
-      defeated.erase(it);
-      return false;
-    };
-    for (std::size_t i = 0; i < order.size(); ++i) {
-      const Lit l = order[i];
+    for (const Lit l : order_literals(cube, level)) {
       if (cube.size() <= 1) break;
       if (!cube.contains(l)) continue;  // removed by an earlier core shrink
-      if (is_defeated(l)) continue;     // answered by a batch CTI
       Cube cand = cube.without(l);
       if (ctx_.ts.cube_intersects_init(cand.lits())) continue;
       if (mode_ == GenMode::kCtg) {
@@ -118,17 +70,6 @@ class FixedStrategy final : public GenStrategy {
         }
         continue;
       }
-      if (filter_ && filter_->rejects(cand, level)) continue;
-      if (batch >= 2) {
-        batch_probe(cube, i, order, batch, level, defeated, is_defeated,
-                    deadline);
-        // The probe loop resolves candidates exactly: re-check what is
-        // left of l before falling back to a sequential solve.
-        if (cube.size() <= 1) break;
-        if (!cube.contains(l) || is_defeated(l)) continue;
-        cand = cube.without(l);
-        if (ctx_.ts.cube_intersects_init(cand.lits())) continue;
-      }
       ++ctx_.stats.num_mic_queries;
       Cube core;
       if (ctx_.solvers.relative_inductive(cand, level - 1,
@@ -136,80 +77,9 @@ class FixedStrategy final : public GenStrategy {
                                           &core, deadline)) {
         cube = core;
         ++ctx_.stats.num_mic_drops;
-      } else if (filter_) {
-        filter_->add_witness(ctx_.solvers.model_state(/*primed=*/false),
-                             ctx_.solvers.model_inputs(), level);
       }
     }
     return cube;
-  }
-
-  /// Does the recorded CTI still defeat dropping `m` from the (possibly
-  /// since-shrunk) cube?  The CTI was a model of R ∧ ¬(old\m) ∧ T ∧
-  /// (old\m)′ for some old ⊇ cube; its successor satisfies (cube\m)′ ⊆
-  /// (old\m)′ outright, so the model witnesses the current query exactly
-  /// when its state still falsifies a literal of cube\m.
-  static bool defeat_holds(const Cube& cube, Lit m, const Cube& cti) {
-    for (const Lit x : cube) {
-      if (x == m) continue;
-      if (cti.contains(~x)) return true;
-    }
-    return false;
-  }
-
-  /// Batched probe loop at order position `i`: repeatedly gather up to
-  /// `batch` still-live candidates (the current one first) and answer them
-  /// with ONE solve against the disjoint-copy batch solver.  The solve is
-  /// exact in both directions — SAT proves every member undroppable and
-  /// returns one genuine CTI per member (all marked defeated, all fed to
-  /// the drop-filter), UNSAT adopts one member's core-shrunk drop — so the
-  /// loop keeps draining droppable members one solve per drop and stops at
-  /// the first SAT (or when fewer than two candidates remain, leaving the
-  /// stragglers to the sequential loop).  A filter hit while gathering
-  /// marks the candidate defeated outright: the same check would skip it
-  /// at its own turn anyway, so this neither adds a solve nor
-  /// double-counts a filter save.
-  template <typename IsDefeated>
-  void batch_probe(Cube& cube, std::size_t i, const std::vector<Lit>& order,
-                   std::size_t batch, std::size_t level,
-                   std::unordered_map<std::int32_t, Cube>& defeated,
-                   const IsDefeated& is_defeated, const Deadline& deadline) {
-    for (;;) {
-      std::vector<Lit> group;
-      for (std::size_t j = i; j < order.size() && group.size() < batch; ++j) {
-        const Lit m = order[j];
-        if (!cube.contains(m) || is_defeated(m)) continue;
-        const Cube cand = cube.without(m);
-        if (cand.size() < 1 || ctx_.ts.cube_intersects_init(cand.lits())) {
-          continue;
-        }
-        if (filter_ && filter_->rejects(cand, level)) continue;
-        group.push_back(m);
-      }
-      if (group.size() < 2) return;
-      ++ctx_.stats.num_batched_drop_solves;
-      SolverManager::BatchProbeResult res;
-      if (ctx_.solvers.batch_drop_probe(cube, group, level - 1, ctx_.frames,
-                                        &res, deadline)) {
-        // UNSAT: one member's drop is certified; adopt it and re-probe the
-        // survivors against the smaller cube.  Recorded defeats stay — they
-        // re-validate lazily against the shrunk cube.
-        cube = res.dropped;
-        ++ctx_.stats.num_batched_drop_answers;
-        ++ctx_.stats.num_mic_drops;
-        continue;
-      }
-      // SAT: every member's own query is witnessed by its copy's model —
-      // one solve answers the whole group as failures.
-      for (std::size_t k = 0; k < group.size(); ++k) {
-        defeated[group[k].index()] = res.cti_states[k];
-        if (filter_) {
-          filter_->add_witness(res.cti_states[k], res.cti_inputs[k], level);
-        }
-      }
-      ctx_.stats.num_batched_drop_answers += group.size();
-      return;
-    }
   }
 
   bool ctg_down(Cube& cand, std::size_t level, int depth,
@@ -269,7 +139,6 @@ class FixedStrategy final : public GenStrategy {
   const GenContext ctx_;
   const std::string name_;
   const GenMode mode_;
-  std::unique_ptr<DropFilter> filter_;  // null: ctg mode or filter off
 };
 
 // ----- the DAC'24 prediction strategy ----------------------------------------
@@ -292,12 +161,10 @@ class PredictStrategy final : public GenStrategy {
   Cube generalize(const Cube& cube, const Cube& core, std::size_t level,
                   const Deadline& deadline,
                   const AddLemmaFn& add_lemma) override {
-    Timer t;
     const std::optional<Cube> predicted = [&] {
       obs::PhaseScope phase(&ctx_.stats.phases, obs::Phase::kPredict);
       return predictor_.predict(cube, level, deadline);
     }();
-    ctx_.stats.time_predict += t.seconds();
     if (predicted.has_value()) return *predicted;
     return fallback_.generalize(cube, core, level, deadline, add_lemma);
   }
@@ -313,15 +180,6 @@ class PredictStrategy final : public GenStrategy {
     if (ctx_.cfg.clear_failure_push_on_propagate) {
       predictor_.clear();  // paper line 44: reconstruct the hash table
     }
-  }
-
-  void on_lemma(const Cube& lemma, std::size_t level) override {
-    fallback_.on_lemma(lemma, level);
-  }
-
-  void on_blocking_cti(const Cube& state, const std::vector<Lit>& inputs,
-                       std::size_t level) override {
-    fallback_.on_blocking_cti(state, inputs, level);
   }
 
  private:

@@ -94,29 +94,6 @@ class GenStrategy {
   /// predictor clears its failure table here (paper line 44); "dynamic"
   /// additionally evaluates its switching policy.
   virtual void on_propagate() {}
-
-  /// A lemma (the clause ¬`lemma`) was installed into the frames at
-  /// `level` — by the engine's blocking loop, mid-generalization (CTG
-  /// blocking), a propagation push, or a lemma-exchange import.  Installs
-  /// strengthen frames, so strategies holding frame-dependent caches (the
-  /// ternary drop-filter's CTI witnesses) invalidate them here.
-  virtual void on_lemma(const Cube& lemma, std::size_t level) {
-    (void)lemma;
-    (void)level;
-  }
-
-  /// The engine's blocking query at `level` found a concrete predecessor
-  /// `state` (full model, reachable from R_{level-1}) under `inputs`.
-  /// Strategies caching CTI witnesses (the ternary drop-filter) absorb it
-  /// here — every SAT answer the engine already paid for is a witness the
-  /// drop loop can reuse.
-  virtual void on_blocking_cti(const Cube& state,
-                               const std::vector<Lit>& inputs,
-                               std::size_t level) {
-    (void)state;
-    (void)inputs;
-    (void)level;
-  }
 };
 
 using GenStrategyFactory = std::function<std::unique_ptr<GenStrategy>(

@@ -4,7 +4,7 @@
 /// resolved from Config::gen_spec.
 ///
 /// The driver owns the cross-strategy bookkeeping so strategies stay pure
-/// policy: it times every call into Ic3Stats::time_generalize, counts N_g,
+/// policy: it times every call into the `generalize` phase, counts N_g,
 /// and records each outcome (success / queries spent / literals dropped)
 /// into the per-strategy sliding windows that the "dynamic" meta-strategy
 /// and `pilot --stats` read.
@@ -54,20 +54,6 @@ class Generalizer {
 
   /// Propagation-boundary hook: table clears, dynamic strategy switching.
   void on_propagate() { strategy_->on_propagate(); }
-
-  /// Lemma-install hook: the engine reports every clause that lands in the
-  /// frames (blocking, pushes, exchange imports) so strategies can keep
-  /// frame-dependent caches exact.
-  void on_lemma(const Cube& lemma, std::size_t level) {
-    strategy_->on_lemma(lemma, level);
-  }
-
-  /// Blocking-query CTI hook: the engine donates the predecessor model of
-  /// every failed blocking query to the drop-filter witness cache.
-  void on_blocking_cti(const Cube& state, const std::vector<Lit>& inputs,
-                       std::size_t level) {
-    strategy_->on_blocking_cti(state, inputs, level);
-  }
 
   /// Registry name of the configured strategy ("down", "dynamic", …).
   [[nodiscard]] const std::string& strategy_name() const {

@@ -6,14 +6,6 @@
 #include "util/log.hpp"
 
 namespace pilot::ic3 {
-namespace {
-
-/// Learnt clauses vivified per frame boundary (maybe_rebuild without a
-/// rebuild).  Newest-first, so this bounds the boundary cost while still
-/// covering the clauses driving the current search.
-constexpr std::size_t kVivifyPerBoundary = 64;
-
-}  // namespace
 
 SolverManager::SolverManager(const TransitionSystem& ts, const Config& cfg,
                              Ic3Stats& stats)
@@ -21,7 +13,6 @@ SolverManager::SolverManager(const TransitionSystem& ts, const Config& cfg,
   solver_ = std::make_unique<sat::Solver>();
   solver_->set_seed(cfg_.seed);
   solver_->set_trail_reuse(cfg_.sat_trail_reuse);
-  solver_->set_inprocess(cfg_.sat_inprocess);
   install_base();
 }
 
@@ -46,33 +37,7 @@ void SolverManager::add_lemma_clause(const Cube& cube, std::size_t level) {
   ensure_level(level);
   std::vector<Lit> clause = cube.negated_lits();
   clause.push_back(~act(level));
-  // The ¬act(level) guard rides along into the subsumption pass, which
-  // scopes it naturally: only same-level lemma clauses share the guard, so
-  // only they can be retired or strengthened by the new install.
-  if (cfg_.sat_inprocess) {
-    obs::PhaseScope phase(&stats_.phases, obs::Phase::kSatInprocess);
-    solver_->add_clause_subsuming(clause);
-  } else {
-    solver_->add_clause(clause);
-  }
-  if (batch_solver_) {
-    // Mirror into every disjoint copy of the batch-probe solver (plain
-    // install: the per-copy subsumption pass would triple the occurrence
-    // scans for clauses the probes only ever assume).
-    batch_ensure_level(level);
-    const auto stride = static_cast<Var>(ts_.num_encoding_vars());
-    for (std::size_t i = 0; i < batch_copies_; ++i) {
-      std::vector<Lit> copy;
-      copy.reserve(cube.size() + 1);
-      for (const Lit l : cube) {
-        const Lit n = ~l;
-        copy.push_back(
-            Lit::make(n.var() + static_cast<Var>(i) * stride, n.sign()));
-      }
-      copy.push_back(~Lit::make(batch_act_vars_[level]));
-      batch_solver_->add_clause(copy);
-    }
-  }
+  solver_->add_clause(clause);
 }
 
 std::vector<Lit> SolverManager::frame_assumptions(std::size_t level) const {
@@ -125,171 +90,6 @@ bool SolverManager::relative_inductive(const Cube& c, std::size_t level,
   if (res == sat::SolveResult::kUnknown) throw TimeoutError{};
   if (res == sat::SolveResult::kSat) return false;
   if (core_out != nullptr) *core_out = shrink_with_core(c);
-  return true;
-}
-
-void SolverManager::batch_ensure_level(std::size_t k) {
-  while (batch_act_vars_.size() <= k) {
-    batch_act_vars_.push_back(batch_solver_->new_var());
-  }
-}
-
-void SolverManager::build_batch_solver(const Frames& frames) {
-  if (batch_solver_) retired_sat_stats_ += batch_solver_->stats();
-  batch_solver_ = std::make_unique<sat::Solver>();
-  batch_solver_->set_seed(cfg_.seed);
-  batch_solver_->set_trail_reuse(cfg_.sat_trail_reuse);
-  batch_solver_->set_inprocess(cfg_.sat_inprocess);
-  batch_copies_ = static_cast<std::size_t>(std::max(2, cfg_.gen_batch));
-  batch_retired_tmp_ = 0;
-  const auto stride = static_cast<Var>(ts_.num_encoding_vars());
-  for (std::size_t i = 0; i < batch_copies_; ++i) {
-    ts_.install_shifted(*batch_solver_, static_cast<Var>(i) * stride);
-  }
-  const auto shift = [stride](Lit l, std::size_t i) {
-    return Lit::make(l.var() + static_cast<Var>(i) * stride, l.sign());
-  };
-  // One shared set of activation guards: every probe queries all copies at
-  // the same level, and the guards occur in one polarity only, so they
-  // cannot carry resolution across copies.
-  batch_act_vars_.clear();
-  batch_ensure_level(act_vars_.empty() ? 0 : act_vars_.size() - 1);
-  for (std::size_t i = 0; i < batch_copies_; ++i) {
-    for (const Lit l : ts_.init_literals()) {
-      batch_solver_->add_binary(~Lit::make(batch_act_vars_[0]), shift(l, i));
-    }
-  }
-  std::vector<std::vector<Cube>> buckets(frames.top_level() + 1);
-  for (std::size_t j = 1; j <= frames.top_level(); ++j) {
-    buckets[j] = frames.delta(j);
-  }
-  buckets = reduce_lemma_buckets(std::move(buckets), nullptr);
-  for (std::size_t j = 1; j < buckets.size(); ++j) {
-    batch_ensure_level(j);
-    for (const Cube& c : buckets[j]) {
-      for (std::size_t i = 0; i < batch_copies_; ++i) {
-        std::vector<Lit> clause;
-        clause.reserve(c.size() + 1);
-        for (const Lit l : c) clause.push_back(shift(~l, i));
-        clause.push_back(~Lit::make(batch_act_vars_[j]));
-        batch_solver_->add_clause(clause);
-      }
-    }
-  }
-}
-
-bool SolverManager::batch_drop_probe(const Cube& cube,
-                                     const std::vector<Lit>& group,
-                                     std::size_t level, const Frames& frames,
-                                     BatchProbeResult* out,
-                                     const Deadline& deadline) {
-  obs::PhaseScope phase(&stats_.phases, obs::Phase::kSatSolve);
-  if (!batch_solver_ || batch_retired_tmp_ >= cfg_.rebuild_tmp_threshold ||
-      group.size() > batch_copies_) {
-    build_batch_solver(frames);
-  }
-  batch_ensure_level(level);
-  const auto stride = static_cast<Var>(ts_.num_encoding_vars());
-  const auto shift = [stride](Lit l, std::size_t i) {
-    return Lit::make(l.var() + static_cast<Var>(i) * stride, l.sign());
-  };
-  std::vector<Lit> assumptions;
-  for (std::size_t j = batch_act_vars_.size(); j-- > level;) {
-    assumptions.push_back(Lit::make(batch_act_vars_[j]));
-  }
-  // Copy i: temporary clause ¬(cube\mᵢ) under a throwaway activation (same
-  // inert-retirement scheme as relative_inductive) plus (cube\mᵢ)′ assumed.
-  std::vector<Lit> tmp_act(group.size());
-  for (std::size_t i = 0; i < group.size(); ++i) {
-    const Lit tmp = Lit::make(batch_solver_->new_var());
-    batch_solver_->set_decision_var(tmp.var(), false);
-    tmp_act[i] = tmp;
-    std::vector<Lit> clause;
-    clause.reserve(cube.size());
-    for (const Lit x : cube) {
-      if (x == group[i]) continue;
-      clause.push_back(shift(~x, i));
-    }
-    clause.push_back(~tmp);
-    batch_solver_->add_clause(clause);
-    assumptions.push_back(tmp);
-    for (const Lit x : cube) {
-      if (x == group[i]) continue;
-      assumptions.push_back(shift(ts_.prime(x), i));
-    }
-  }
-  const sat::SolveResult res = batch_solver_->solve(assumptions, deadline);
-  batch_retired_tmp_ += group.size();
-  if (res == sat::SolveResult::kUnknown) throw TimeoutError{};
-
-  if (res == sat::SolveResult::kSat) {
-    // Every copy is satisfied, so every member's own single-drop query is
-    // SAT: extract the per-copy models as exact CTIs.
-    out->cti_states.clear();
-    out->cti_inputs.clear();
-    for (std::size_t i = 0; i < group.size(); ++i) {
-      std::vector<Lit> state;
-      state.reserve(ts_.num_latches());
-      for (std::size_t j = 0; j < ts_.num_latches(); ++j) {
-        const sat::LBool v = batch_solver_->model_value(
-            shift(Lit::make(ts_.state_var(j)), i));
-        if (v.is_undef()) continue;
-        state.push_back(Lit::make(ts_.state_var(j), v.is_false()));
-      }
-      out->cti_states.push_back(Cube::from_lits(std::move(state)));
-      std::vector<Lit> inputs;
-      inputs.reserve(ts_.num_inputs());
-      for (std::size_t j = 0; j < ts_.num_inputs(); ++j) {
-        const sat::LBool v =
-            batch_solver_->model_value(shift(Lit::make(ts_.input_var(j)), i));
-        if (v.is_undef()) continue;
-        inputs.push_back(Lit::make(ts_.input_var(j), v.is_false()));
-      }
-      out->cti_inputs.push_back(std::move(inputs));
-    }
-    return false;
-  }
-
-  // UNSAT: the copies share no variables (and the shared guards occur in
-  // one polarity only), so the refutation lives inside one copy — the one
-  // whose throwaway activation or primed assumptions the core mentions.
-  const std::vector<Lit>& core = batch_solver_->core();
-  std::size_t refuted = 0;
-  bool found = false;
-  for (const Lit l : core) {
-    for (std::size_t i = 0; i < group.size(); ++i) {
-      if (l.var() == tmp_act[i].var()) {
-        refuted = i;
-        found = true;
-        break;
-      }
-    }
-    if (found) break;
-    if (l.var() < static_cast<Var>(group.size()) * stride) {
-      refuted = static_cast<std::size_t>(l.var() / stride);
-      found = true;
-      break;
-    }
-  }
-  const Cube cand = cube.without(group[refuted]);
-  for (const Lit l : core) {
-    const auto idx = static_cast<std::size_t>(l.index());
-    if (idx >= core_mark_.size()) core_mark_.resize(idx + 1, 0);
-    core_mark_[idx] = 1;
-  }
-  std::vector<Lit> kept;
-  for (const Lit l : cand) {
-    const auto idx =
-        static_cast<std::size_t>(shift(ts_.prime(l), refuted).index());
-    if (idx < core_mark_.size() && core_mark_[idx] != 0) kept.push_back(l);
-  }
-  for (const Lit l : core) {
-    core_mark_[static_cast<std::size_t>(l.index())] = 0;
-  }
-  Cube shrunk = Cube::from_sorted(std::move(kept));
-  out->member_index = refuted;
-  out->dropped =
-      shrunk.empty() ? cand : repair_initiation(std::move(shrunk), cand);
   return true;
 }
 
@@ -439,23 +239,13 @@ void SolverManager::rebuild(const Frames& frames) {
   const std::unique_ptr<sat::Solver> old = std::move(solver_);
   const std::vector<Var> old_acts = std::move(act_vars_);
   retired_sat_stats_ += old->stats();
-  if (batch_solver_) {
-    // Retire the batch-probe solver with the main one; the next probe
-    // rebuilds it lazily from the freshly swept frames.
-    retired_sat_stats_ += batch_solver_->stats();
-    batch_solver_.reset();
-    batch_act_vars_.clear();
-  }
   solver_ = std::make_unique<sat::Solver>();
   solver_->set_seed(cfg_.seed);
   solver_->set_trail_reuse(cfg_.sat_trail_reuse);
-  solver_->set_inprocess(cfg_.sat_inprocess);
   install_base();
   ensure_level(levels == 0 ? 0 : levels - 1);
   // Sweep the lemma set across levels before re-adding: rebuilds shrink
-  // the CNF instead of replaying install history.  Plain add_clause here —
-  // the swept set is subsumption-free, so the install-time pass would only
-  // burn occurrence-list scans.
+  // the CNF instead of replaying install history.
   std::vector<std::vector<Cube>> buckets(frames.top_level() + 1);
   for (std::size_t j = 1; j <= frames.top_level(); ++j) {
     buckets[j] = frames.delta(j);
@@ -476,14 +266,7 @@ void SolverManager::rebuild(const Frames& frames) {
 }
 
 void SolverManager::maybe_rebuild(const Frames& frames) {
-  if (retired_tmp_ >= cfg_.rebuild_tmp_threshold) {
-    rebuild(frames);
-  } else if (cfg_.sat_inprocess) {
-    // Between rebuilds, spend the frame boundary vivifying the newest long
-    // learnts — the trail is about to go cold here regardless.
-    obs::PhaseScope phase(&stats_.phases, obs::Phase::kSatVivify);
-    solver_->vivify_learnts(kVivifyPerBoundary);
-  }
+  if (retired_tmp_ >= cfg_.rebuild_tmp_threshold) rebuild(frames);
 }
 
 }  // namespace pilot::ic3

@@ -48,10 +48,7 @@ class SolverManager {
   /// Makes activation literals for levels 0..k available.
   void ensure_level(std::size_t k);
 
-  /// Adds the lemma clause ¬cube guarded by act(level).  With
-  /// Config::sat_inprocess the install runs through the solver's
-  /// (self-)subsumption pass, so a stronger lemma retires weaker same-level
-  /// clauses in place instead of waiting for the next rebuild.
+  /// Adds the lemma clause ¬cube guarded by act(level).
   void add_lemma_clause(const Cube& cube, std::size_t level);
 
   /// SAT(R_level ∧ bad)?  On true, the model is available for extraction.
@@ -77,35 +74,6 @@ class SolverManager {
   /// Input literals from the last SAT model.
   [[nodiscard]] std::vector<Lit> model_inputs() const;
 
-  /// Outcome of batch_drop_probe.  On UNSAT, `member_index` names the group
-  /// member whose single-drop query the refutation settled and `dropped` is
-  /// the core-shrunk, initiation-repaired cube with that member removed.
-  /// On SAT, `cti_states`/`cti_inputs` hold one genuine CTI per group
-  /// member (the model of that member's variable-disjoint copy).
-  struct BatchProbeResult {
-    std::size_t member_index = 0;
-    Cube dropped;
-    std::vector<Cube> cti_states;
-    std::vector<std::vector<Lit>> cti_inputs;
-  };
-
-  /// Batched generalization probe: ONE solve answering the single-drop
-  /// query of EVERY group member at once.  The batch solver holds
-  /// Config::gen_batch variable-disjoint copies of R ∧ T (see
-  /// TransitionSystem::install_shifted); copy i adds the temporary clause
-  /// ¬(cube\mᵢ) and assumes (cube\mᵢ)′, so the conjunction is satisfiable
-  /// iff every member's query is.  SAT (returns false) therefore proves NO
-  /// member can be dropped and hands back one exact CTI per member —
-  /// `group.size()` answers for one solve.  UNSAT means at least one copy
-  /// is refuted on its own (the copies share no variables except the
-  /// activation guards, which occur in one polarity only, so resolution
-  /// cannot mix copies); the final-conflict core identifies that copy and
-  /// shrinks its drop.  `frames` rebuilds the batch solver lazily — it is
-  /// dropped on rebuild() and when its temporary clauses pile up.
-  bool batch_drop_probe(const Cube& cube, const std::vector<Lit>& group,
-                        std::size_t level, const Frames& frames,
-                        BatchProbeResult* out, const Deadline& deadline);
-
   /// Rebuilds the solver from scratch with the lemmas in `frames`,
   /// carrying phases/activities over when Config::rebuild_carry_state.
   /// The lemma set is dedup/subsume-swept across levels first (see
@@ -113,18 +81,14 @@ class SolverManager {
   /// replaying install history.
   void rebuild(const Frames& frames);
 
-  /// Rebuilds if enough temporary clauses have been retired; otherwise —
-  /// with Config::sat_inprocess — uses the frame boundary to vivify the
-  /// newest long learnt clauses (the kept trail is cold here anyway).
+  /// Rebuilds if enough temporary clauses have been retired.
   void maybe_rebuild(const Frames& frames);
 
-  /// Aggregate SAT counters across the current solver, the batch-probe
-  /// solver, and every solver retired by rebuild() — rebuilds do not reset
-  /// the statistics.
+  /// Aggregate SAT counters across the current solver and every solver
+  /// retired by rebuild() — rebuilds do not reset the statistics.
   [[nodiscard]] sat::SolverStats sat_stats() const {
     sat::SolverStats out = retired_sat_stats_;
     out += solver_->stats();
-    if (batch_solver_) out += batch_solver_->stats();
     return out;
   }
 
@@ -139,9 +103,7 @@ class SolverManager {
   void carry_solver_state(const sat::Solver& old,
                           const std::vector<Var>& old_acts);
   Cube shrink_with_core(const Cube& c) const;
-  void build_batch_solver(const Frames& frames);
-  void batch_ensure_level(std::size_t k);
-  /// Initiation repair shared by the core shrinkers: if `shrunk` touches I,
+  /// Initiation repair for the core shrinker: if `shrunk` touches I,
   /// restore one literal of `full` that contradicts the initial cube.
   Cube repair_initiation(Cube shrunk, const Cube& full) const;
 
@@ -152,14 +114,6 @@ class SolverManager {
   std::vector<Var> act_vars_;
   std::size_t retired_tmp_ = 0;
   sat::SolverStats retired_sat_stats_;
-  // Batch-probe solver: Config::gen_batch variable-disjoint copies of R ∧ T
-  // sharing one set of activation guards.  Built lazily from the frames on
-  // the first probe, dropped on rebuild() and when its throwaway temporary
-  // clauses exceed the rebuild threshold.
-  std::unique_ptr<sat::Solver> batch_solver_;
-  std::vector<Var> batch_act_vars_;
-  std::size_t batch_copies_ = 0;
-  std::size_t batch_retired_tmp_ = 0;
   // Scratch for shrink_with_core: flags indexed by Lit::index(), marked for
   // the core's literals and cleared again on exit (avoids an O(|c|·|core|)
   // scan per call).

@@ -90,16 +90,8 @@ std::string Ic3Stats::summary() const {
         << " SR_lp=" << sr_lp() << " SR_fp=" << sr_fp()
         << " SR_adv=" << sr_adv();
   }
-  if (num_filter_checks > 0 || num_packed_sim_words > 0) {
-    oss << " | ternary: filter_checks=" << num_filter_checks
-        << " solves_saved=" << num_filter_solves_saved
-        << " witnesses=" << num_filter_witnesses
-        << " blocking_witnesses=" << num_filter_blocking_witnesses
-        << " packed_words=" << num_packed_sim_words;
-  }
-  if (num_batched_drop_solves > 0) {
-    oss << " | batch: drop_solves=" << num_batched_drop_solves
-        << " drop_answers=" << num_batched_drop_answers;
+  if (num_packed_sim_words > 0) {
+    oss << " | ternary: packed_words=" << num_packed_sim_words;
   }
   for (const GenStrategyStats& s : gen_strategies) {
     oss << " | gen[" << s.name << "]: attempts=" << s.attempts
@@ -134,15 +126,6 @@ std::string Ic3Stats::summary() const {
     if (num_rebuild_carried_phases > 0) {
       oss << " carried_vars=" << num_rebuild_carried_phases;
     }
-  }
-  if (sat_subsumed_clauses > 0 || sat_strengthened_clauses > 0 ||
-      sat_vivified_literals > 0 || sat_probe_failed_literals > 0 ||
-      sat_scc_merged_vars > 0 || num_rebuild_subsumed > 0) {
-    oss << " | inprocess: subsumed=" << sat_subsumed_clauses
-        << " strengthened=" << sat_strengthened_clauses
-        << " vivified_lits=" << sat_vivified_literals
-        << " probe_failed_lits=" << sat_probe_failed_literals
-        << " scc_merged=" << sat_scc_merged_vars;
     if (num_rebuild_subsumed > 0) {
       oss << " rebuild_skips=" << num_rebuild_subsumed;
     }

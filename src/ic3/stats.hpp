@@ -94,29 +94,8 @@ struct Ic3Stats {
   /// nonzero values flag an upstream bug — and the rebuild stays sound).
   std::uint64_t num_rebuild_subsumed = 0;
 
-  // --- batched generalization probes (Config::gen_batch) ---
-  /// Multi-candidate relative-induction solves issued by the batched MIC
-  /// drop loop (each replaces up to gen_batch single-candidate solves).
-  std::uint64_t num_batched_drop_solves = 0;
-  /// Candidate-drop answers obtained from batched solves: every candidate
-  /// of an UNSAT batch, plus every candidate a batch CTI defeats.
-  std::uint64_t num_batched_drop_answers = 0;
-
-  // --- ternary drop-filter + packed simulation (Config::gen_ternary_filter,
-  // --- Config::lift_sim) ---
-  /// Candidate drops screened against the cached-CTI witness filter.
-  std::uint64_t num_filter_checks = 0;
-  /// Candidates a cached witness rejected — relative-induction solves that
-  /// were skipped because they would certainly have failed.
-  std::uint64_t num_filter_solves_saved = 0;
-  /// CTI witnesses cached by the filter from failed drop solves.
-  std::uint64_t num_filter_witnesses = 0;
-  /// CTI witnesses donated by the engine's *blocking* queries (every
-  /// failed relative-induction check during obligation chasing), on top of
-  /// the drop-loop witnesses counted above.
-  std::uint64_t num_filter_blocking_witnesses = 0;
-  /// Node-words (32 packed lanes each) evaluated by packed ternary
-  /// simulation, across the lifter and the drop-filter.
+  /// Node-words (32 packed lanes each) evaluated by the ternary lifter's
+  /// packed simulation (Config::lift_sim).
   std::uint64_t num_packed_sim_words = 0;
 
   // --- generalization strategies (gen_strategy.hpp) ---
@@ -162,18 +141,6 @@ struct Ic3Stats {
   /// Learnt clauses with LBD ≤ 2 (glue).
   std::uint64_t sat_glue_learnts = 0;
   std::uint64_t sat_db_reductions = 0;
-  // --- SAT inprocessing mirrors (Config::sat_inprocess) ---
-  /// Problem clauses retired by install-time forward subsumption.
-  std::uint64_t sat_subsumed_clauses = 0;
-  /// Problem clauses shortened by self-subsuming resolution.
-  std::uint64_t sat_strengthened_clauses = 0;
-  /// Literals removed from learnt clauses by vivification.
-  std::uint64_t sat_vivified_literals = 0;
-  /// Root units derived by failed-literal probing (BMC/k-ind unrollings).
-  std::uint64_t sat_probe_failed_literals = 0;
-  /// Variables rewritten to their binary-implication SCC representative.
-  std::uint64_t sat_scc_merged_vars = 0;
-
   /// Copies the SAT-layer aggregate into the mirror counters above.
   /// Idempotent (each field is assigned, not accumulated), so the engine
   /// calls it at every progress/trace boundary as well as the check()
@@ -188,24 +155,25 @@ struct Ic3Stats {
     sat_binary_propagations = s.binary_propagations;
     sat_glue_learnts = s.glue_learnts;
     sat_db_reductions = s.db_reductions;
-    sat_subsumed_clauses = s.subsumed_clauses;
-    sat_strengthened_clauses = s.strengthened_clauses;
-    sat_vivified_literals = s.vivified_literals;
-    sat_probe_failed_literals = s.probe_failed_literals;
-    sat_scc_merged_vars = s.scc_merged_vars;
   }
 
   // --- timing (seconds) ---
   double time_total = 0.0;
-  double time_generalize = 0.0;
-  double time_predict = 0.0;
-  double time_propagate = 0.0;
 
   /// Per-phase wall-time breakdown (obs::PhaseScope accumulates into this);
   /// rendered by `pilot --stats` and persisted into ResultsDb rows.
   obs::PhaseProfile phases;
 
   std::size_t max_frame = 0;
+
+  // --- read only by perfbench/harness.cpp; always 0; delete with the next
+  // --- benchmark change ---
+  std::uint64_t num_filter_checks = 0;
+  std::uint64_t num_filter_solves_saved = 0;
+  std::uint64_t num_batched_drop_solves = 0;
+  std::uint64_t num_batched_drop_answers = 0;
+  std::uint64_t sat_probe_failed_literals = 0;
+  std::uint64_t sat_scc_merged_vars = 0;
 
   // --- derived success rates (paper Table 2) ---
   [[nodiscard]] double sr_lp() const {

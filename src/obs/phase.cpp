@@ -7,9 +7,9 @@ namespace pilot::obs {
 namespace {
 
 constexpr std::array<const char*, kPhaseCount> kPhaseNames = {
-    "block",        "generalize", "predict",    "propagate",
-    "lift",         "rebuild",    "sat_solve",  "sat_inprocess",
-    "sat_vivify",   "unroll",     "exchange",
+    "block",    "generalize",    "predict",   "propagate",
+    "lift",     "rebuild",       "sat_solve", "unroll",
+    "exchange", "sat_inprocess", "sat_vivify",
 };
 
 }  // namespace

@@ -29,11 +29,13 @@ enum class Phase : std::uint8_t {
   kPropagate,      // frame propagation / lemma pushing
   kLift,           // predecessor lifting (ternary sim + SAT)
   kRebuild,        // SAT solver rebuild at frame boundaries
-  kSatSolve,       // SAT queries (solve_bad / relative induction / probes)
-  kSatInprocess,   // clause subsumption on lemma install
-  kSatVivify,      // learnt-clause vivification at frame boundaries
+  kSatSolve,       // SAT queries (solve_bad / relative induction)
   kUnroll,         // BMC / k-induction transition unrolling
   kExchange,       // portfolio lemma-exchange import/validate
+  // --- read only by perfbench/harness.cpp; always 0; delete with the next
+  // --- benchmark change ---
+  kSatInprocess,
+  kSatVivify,
 };
 
 inline constexpr std::size_t kPhaseCount = 11;

@@ -86,35 +86,6 @@ void TransitionSystem::install(sat::Solver& solver) const {
   }
 }
 
-void TransitionSystem::install_shifted(sat::Solver& solver, Var offset) const {
-  if (solver.num_vars() != offset) {
-    throw std::logic_error(
-        "install_shifted: offset must equal the solver's variable count");
-  }
-  const auto shift = [offset](Lit l) {
-    return Lit::make(l.var() + offset, l.sign());
-  };
-  for (int i = 0; i < num_encoding_vars(); ++i) solver.new_var();
-  solver.add_unit(shift(Lit::make(0, /*sign=*/true)));
-  for (const std::uint32_t n : aig_.ands()) {
-    const Lit g = shift(Lit::make(static_cast<Var>(n)));
-    const Lit a = shift(cur(aig_.fanin0(n)));
-    const Lit b = shift(cur(aig_.fanin1(n)));
-    solver.add_binary(~g, a);
-    solver.add_binary(~g, b);
-    solver.add_ternary(g, ~a, ~b);
-  }
-  for (const AigLit c : aig_.constraints()) {
-    solver.add_unit(shift(cur(c)));
-  }
-  for (std::size_t i = 0; i < aig_.latches().size(); ++i) {
-    const Lit xp = shift(Lit::make(next_state_var(i)));
-    const Lit fn = shift(cur(aig_.next(aig_.latches()[i])));
-    solver.add_binary(~xp, fn);
-    solver.add_binary(xp, ~fn);
-  }
-}
-
 LBool TransitionSystem::init_value(Var v) const {
   const int idx = latch_index_of(v);
   if (idx < 0) return sat::l_Undef;

@@ -61,12 +61,6 @@ class TransitionSystem {
   /// Used for purely combinational queries such as bad-cube lifting.
   void install_combinational(sat::Solver& solver) const;
 
-  /// Installs the full transition relation with every variable shifted by
-  /// `offset`, which must equal the solver's current variable count (copies
-  /// are installed back to back).  Used to pack several variable-disjoint
-  /// copies of T into one solver for batched generalization probes.
-  void install_shifted(sat::Solver& solver, Var offset) const;
-
   /// Current-step literal of an AIG literal.
   [[nodiscard]] Lit cur(AigLit l) const {
     return Lit::make(static_cast<Var>(l.node()), l.negated());

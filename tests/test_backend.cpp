@@ -120,9 +120,10 @@ std::string patch_error(const std::vector<std::string>& items) {
 }
 
 TEST(ConfigPatch, RejectsBadItemsNamingTheTokenAndTheValidKeys) {
-  for (const char* item : {"nosuch=1", "gen_batch", "gen_batch=0",
-                           "gen_batch=4x", "sat_inprocess=maybe",
-                           "predict_max_extra_lits=3"}) {
+  for (const char* item :
+       {"nosuch=1", "predict_max_extra_lits", "predict_max_extra_lits=0",
+        "predict_max_extra_lits=2x", "predict_refine_diff=maybe",
+        "predict_max_extra_lits=3"}) {
     const std::string msg = patch_error({item});
     ASSERT_FALSE(msg.empty()) << item << " was accepted";
     EXPECT_NE(msg.find(item), std::string::npos) << msg;
@@ -138,21 +139,29 @@ TEST(ConfigPatch, RejectsBadItemsNamingTheTokenAndTheValidKeys) {
   }
 }
 
+TEST(ConfigPatch, RetiredKeysAreUnknown) {
+  EXPECT_EQ(ic3::ConfigPatch::keys().size(), 5u);
+  for (const char* item :
+       {"gen_batch=4", "gen_ternary_filter=off", "sat_inprocess=off"}) {
+    const std::string msg = patch_error({item});
+    EXPECT_NE(msg.find("unknown key"), std::string::npos) << item << ": " << msg;
+  }
+}
+
 TEST(ConfigPatch, LastValueWinsAndItemsAreCanonical) {
   const ic3::ConfigPatch p = ic3::ConfigPatch::parse(
-      {"sat_inprocess=off", "gen_batch=04", "gen=down", "gen_batch=2"});
-  const std::vector<std::string> want = {"gen=down", "gen_batch=2",
-                                         "sat_inprocess=off"};
+      {"predict_refine_diff=off", "predict_max_extra_lits=02", "gen=down",
+       "predict_max_extra_lits=2"});
+  const std::vector<std::string> want = {
+      "gen=down", "predict_max_extra_lits=2", "predict_refine_diff=off"};
   EXPECT_EQ(p.items(), want);
   EXPECT_EQ(ic3::ConfigPatch::parse(p.items()), p);
-  EXPECT_EQ(p.sat_inprocess(), std::optional<bool>(false));
-  EXPECT_FALSE(ic3::ConfigPatch{}.sat_inprocess().has_value());
 
   ic3::Config cfg = ic3_config_for("ic3-ctg-pl", 0);
   p.apply(cfg);
   EXPECT_EQ(cfg.gen_spec, "down");
-  EXPECT_EQ(cfg.gen_batch, 2);
-  EXPECT_FALSE(cfg.sat_inprocess);
+  EXPECT_EQ(cfg.predict_max_extra_lits, 2);
+  EXPECT_FALSE(cfg.predict_refine_diff);
   EXPECT_TRUE(cfg.predict_lemmas);  // unpatched fields keep the name's
 }
 
@@ -161,14 +170,12 @@ TEST(ConfigPatch, AblationKeysSetTheirFields) {
   ic3::ConfigPatch::parse({"clear_failure_push_on_propagate=off",
                            "predict_refine_diff=off",
                            "predict_max_extra_lits=2",
-                           "predict_core_shrink=on",
-                           "gen_ternary_filter=off"})
+                           "predict_core_shrink=on"})
       .apply(cfg);
   EXPECT_FALSE(cfg.clear_failure_push_on_propagate);
   EXPECT_FALSE(cfg.predict_refine_diff);
   EXPECT_EQ(cfg.predict_max_extra_lits, 2);
   EXPECT_TRUE(cfg.predict_core_shrink);
-  EXPECT_FALSE(cfg.gen_ternary_filter);
 }
 
 TEST(Backend, StoppedTokenYieldsUnknown) {

@@ -9,8 +9,6 @@
 #include <memory>
 
 #include "circuits/families.hpp"
-#include "corpus/corpus.hpp"
-#include "ic3/drop_filter.hpp"
 #include "ic3/engine.hpp"
 #include "ic3/gen_dynamic.hpp"
 #include "ic3/gen_strategy.hpp"
@@ -285,118 +283,6 @@ TEST(DynamicStrategyEngine, UnknownSpecThrowsAtConstruction) {
   Config cfg;
   cfg.gen_spec = "no-such-strategy";
   EXPECT_THROW(Engine(ts, cfg), std::invalid_argument);
-}
-
-// ----- the ternary drop-filter -----------------------------------------------
-
-TEST(DropFilter, WitnessRejectsItsCandidateAndLemmaInstallInvalidates) {
-  CtxFixture f;
-  f.solvers.ensure_level(2);
-  f.frames.ensure_level(2);
-  DropFilter filter(f.ts, f.stats);
-  // Find a single-literal candidate whose drop solve fails at level 2 and
-  // cache the CTI model the solver hands back.
-  bool exercised = false;
-  for (std::size_t i = 0; i < f.ts.num_latches() && !exercised; ++i) {
-    for (const bool sign : {false, true}) {
-      const Cube cand = Cube::from_lits({Lit::make(f.ts.state_var(i), sign)});
-      if (f.ts.cube_intersects_init(cand.lits())) continue;
-      if (f.solvers.relative_inductive(cand, 1,
-                                       /*cube_clause_in_frame=*/false,
-                                       nullptr, {})) {
-        continue;
-      }
-      const Cube s = f.solvers.model_state(/*primed=*/false);
-      filter.add_witness(s, f.solvers.model_inputs(), 2);
-      // The witness proves the identical solve would fail again...
-      EXPECT_TRUE(filter.rejects(cand, 2));
-      // ...but only for query levels at or above the witness level (the
-      // cached s is known to satisfy R_1, not the stronger R_0).
-      EXPECT_FALSE(filter.rejects(cand, 1));
-      // Installing a clause the cached state violates — ¬s itself is the
-      // sharpest such clause — must kill the witness.
-      filter.on_lemma(s, 2);
-      EXPECT_FALSE(filter.rejects(cand, 2));
-      exercised = true;
-      break;
-    }
-  }
-  EXPECT_TRUE(exercised) << "no failing drop solve found on token_ring(4)";
-}
-
-TEST(DropFilter, WitnessSurvivesLemmasItsStateSatisfies) {
-  CtxFixture f;
-  f.solvers.ensure_level(2);
-  f.frames.ensure_level(2);
-  DropFilter filter(f.ts, f.stats);
-  for (std::size_t i = 0; i < f.ts.num_latches(); ++i) {
-    const Cube cand = Cube::from_lits({Lit::make(f.ts.state_var(i), false)});
-    if (f.ts.cube_intersects_init(cand.lits())) continue;
-    if (f.solvers.relative_inductive(cand, 1, /*cube_clause_in_frame=*/false,
-                                     nullptr, {})) {
-      continue;
-    }
-    const Cube s = f.solvers.model_state(/*primed=*/false);
-    filter.add_witness(s, f.solvers.model_inputs(), 2);
-    ASSERT_TRUE(filter.rejects(cand, 2));
-    // The new clause ¬cand is satisfied by s (s lies outside cand — that
-    // is what made it a witness), so the cache must survive the install.
-    filter.on_lemma(cand, 2);
-    EXPECT_TRUE(filter.rejects(cand, 2));
-    return;
-  }
-  GTEST_SKIP() << "no failing drop solve found on token_ring(4)";
-}
-
-// Engine-level A/B over the checked-in fixture corpus: the filter may only
-// remove SAT calls whose outcome a cached witness already determines, so
-// the entire proof trajectory — verdict, frame count, lemma count, and the
-// final inductive invariant — must be bit-identical with the filter on and
-// off, while the saved-solve accounting must balance exactly.
-TEST(DropFilter, FilterIsTrajectoryInvisibleOnFixtureCorpus) {
-  const std::vector<corpus::Case> cases =
-      corpus::resolve_corpus(PILOT_TEST_CORPUS_DIR);
-  ASSERT_FALSE(cases.empty());
-  std::uint64_t total_saved = 0;
-  std::uint64_t total_blocking = 0;
-  for (const corpus::Case& c : cases) {
-    const ts::TransitionSystem ts = ts::TransitionSystem::from_aig(c.load());
-    auto run = [&](bool filter) {
-      Config cfg;
-      cfg.gen_spec = "down";
-      cfg.gen_ternary_filter = filter;
-      // The exact-accounting invariant below is a property of the plain
-      // sequential drop loop: batched probes resolve candidates in groups,
-      // so a filter hit there changes group composition rather than
-      // removing one dedicated solve (test_gen_batch covers that path).
-      cfg.gen_batch = 1;
-      Engine engine(ts, cfg);
-      return engine.check(Deadline::in_seconds(60));
-    };
-    const Result on = run(true);
-    const Result off = run(false);
-    EXPECT_EQ(on.verdict, off.verdict) << c.name;
-    EXPECT_EQ(on.frames, off.frames) << c.name;
-    EXPECT_EQ(on.stats.num_lemmas, off.stats.num_lemmas) << c.name;
-    ASSERT_EQ(on.invariant.has_value(), off.invariant.has_value()) << c.name;
-    if (on.invariant.has_value()) {
-      EXPECT_EQ(on.invariant->lemma_cubes, off.invariant->lemma_cubes)
-          << c.name;
-    }
-    // Exact accounting: every skipped check is a solve the off-run issued.
-    EXPECT_EQ(off.stats.num_filter_solves_saved, 0u) << c.name;
-    EXPECT_EQ(on.stats.num_mic_queries + on.stats.num_filter_solves_saved,
-              off.stats.num_mic_queries)
-        << c.name;
-    total_saved += on.stats.num_filter_solves_saved;
-    // Blocking-query CTIs are donated to the witness cache only while the
-    // filter exists; the off-run must account exactly zero of them.
-    EXPECT_EQ(off.stats.num_filter_blocking_witnesses, 0u) << c.name;
-    total_blocking += on.stats.num_filter_blocking_witnesses;
-  }
-  EXPECT_GT(total_saved, 0u) << "filter never fired on the fixture corpus";
-  EXPECT_GT(total_blocking, 0u)
-      << "no blocking-query CTI reached the witness cache";
 }
 
 }  // namespace

@@ -177,12 +177,12 @@ TEST(ResultsDb, WriterCutsATornTailBeforeAppending) {
 
 TEST(ResultsDb, CampaignPatchRoundTripsThroughTheSetField) {
   const ic3::ConfigPatch patch =
-      ic3::ConfigPatch::parse({"sat_inprocess=off", "gen_batch=1"});
+      ic3::ConfigPatch::parse({"predict_refine_diff=off", "gen=down"});
   RunRow row = make_row("a", "ic3-ctg", ic3::Verdict::kSafe, 0.5);
   row.context = make_run_context("tests/corpus", 2000, 0, patch);
   const json::Value v = to_json(row);
   ASSERT_EQ(v.at("set").as_array().size(), 2u);
-  EXPECT_EQ(v.at("set").as_array()[1].as_string(), "sat_inprocess=off");
+  EXPECT_EQ(v.at("set").as_array()[1].as_string(), "predict_refine_diff=off");
 
   TempFile file("patch");
   ResultsDb db;
@@ -191,8 +191,6 @@ TEST(ResultsDb, CampaignPatchRoundTripsThroughTheSetField) {
   const ResultsDb back = ResultsDb::load(file.str());
   ASSERT_EQ(back.rows().size(), 1u);
   EXPECT_EQ(back.rows()[0].context.patch, patch);
-  EXPECT_EQ(back.rows()[0].context.patch.sat_inprocess(),
-            std::optional<bool>(false));
 
   // Rows written before "set" existed recorded only "gen":"X".
   json::Object legacy = to_json(make_row("a", "ic3-ctg", ic3::Verdict::kSafe,
@@ -207,6 +205,27 @@ TEST(ResultsDb, CampaignPatchRoundTripsThroughTheSetField) {
   unknown["set"] = json::Array{json::Value("nosuch=1")};
   EXPECT_THROW((void)row_from_json(json::Value(unknown)),
                std::invalid_argument);
+}
+
+TEST(ResultsDb, RetiredSetKeysAreDroppedOnLoad) {
+  // A row written while gen_batch / sat_inprocess were still settable.
+  json::Object old =
+      to_json(make_row("a", "ic3-down", ic3::Verdict::kSafe, 0.5)).as_object();
+  old["set"] = json::Array{json::Value("gen=down"), json::Value("gen_batch=1"),
+                           json::Value("sat_inprocess=off")};
+  bool dropped = false;
+  const RunRow row = row_from_json(json::Value(old), &dropped);
+  EXPECT_TRUE(dropped);
+  EXPECT_EQ(row.context.patch, ic3::ConfigPatch::parse({"gen=down"}));
+
+  TempFile file("retired");
+  {
+    std::ofstream out(file.str(), std::ios::binary | std::ios::trunc);
+    out << json::Value(old).dump() << "\n";
+  }
+  const ResultsDb db = ResultsDb::load(file.str());
+  ASSERT_EQ(db.rows().size(), 1u);
+  EXPECT_EQ(db.rows()[0].context.patch, ic3::ConfigPatch::parse({"gen=down"}));
 }
 
 TEST(ResultsDb, MergeKeepsLastRowPerCaseEngineKey) {

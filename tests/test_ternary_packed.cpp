@@ -2,9 +2,9 @@
 /// reference byte-wise TernarySimulator (random {0,1,X} frames, broadcast
 /// and per-lane) and against BitSimulator on X-free frames across
 /// multi-step latch sequences.  The packed backend is the production path
-/// of ternary lifting and of the generalization drop-filter, so any
-/// encoding bug here silently corrupts cubes — these tests pin the two
-/// backends to exact agreement on every node, every lane.
+/// of ternary lifting, so any encoding bug here silently corrupts cubes —
+/// these tests pin the two backends to exact agreement on every node,
+/// every lane.
 #include <gtest/gtest.h>
 
 #include <vector>

@@ -208,8 +208,8 @@ int cmd_run(int argc, const char* const* argv) {
                     "engine specs, '+'-separated (use ',' when a portfolio "
                     "spec contains '+')");
   parser.add_list("set", &set_items,
-                  "engine setting key=value for every engine of the "
-                  "campaign, recorded in each row (see `pilot --help` for "
+                  "engine setting key=value for every IC3-family engine of "
+                  "the campaign, recorded in each row (see `pilot --help` for "
                   "the keys)");
   parser.add_string("shard", &shard_text,
                     "run only shard i of n (\"i/n\"): a deterministic "

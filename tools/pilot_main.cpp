@@ -10,7 +10,7 @@
 /// Engine selection: `--engine` picks a backend (or portfolio[:a+b+c] /
 /// portfolio-x[:a+b+c] with lemma exchange); each repeatable
 /// `--set key=value` adjusts one engine setting (ic3::ConfigPatch, e.g.
-/// `--set gen=dynamic:16,0.4 --set sat_inprocess=off`).
+/// `--set gen=dynamic:16,0.4 --set predict_refine_diff=off`).
 ///
 /// The verdict is printed as one line (SAFE / UNSAFE / UNKNOWN) on stdout;
 /// diagnostics go to stderr.  With --witness, UNSAFE runs print the
@@ -140,8 +140,8 @@ int run_certify(int argc, char** argv) {
       "against its model.\n"
       "usage: pilot certify <model.aag|model.aig> <certificate>\n"
       "The checker deliberately uses a different solver configuration than "
-      "the engines (trail reuse off, inprocessing off, fresh variable "
-      "order), so a bug in the optimized hot path cannot vouch for itself.\n"
+      "the engines (trail reuse off, fresh variable order), so a bug in the "
+      "optimized hot path cannot vouch for itself.\n"
       "exit codes: 0 = certificate valid, 3 = usage/parse error, "
       "4 = certificate rejected");
   parser.add_int("seed", &seed, "checker randomization seed");
@@ -463,7 +463,7 @@ int main(int argc, char** argv) {
       "; or portfolio[:a+b+c] to race several backends (first verdict "
       "wins), portfolio-x[:a+b+c] to race with lemma exchange";
   parser.add_string("engine", &engine, engine_help);
-  std::string set_help = "engine setting key=value (later wins); keys:";
+  std::string set_help = "IC3-family engine setting key=value (later wins); keys:";
   for (const std::string& key : ic3::ConfigPatch::keys()) {
     set_help += " " + key;
   }
