@@ -36,6 +36,9 @@ json::Value stats_to_json(const ic3::Ic3Stats& s) {
   o["obligations"] = s.num_obligations;
   o["mic_queries"] = s.num_mic_queries;
   o["push_queries"] = s.num_push_queries;
+  o["push_successes"] = s.num_push_successes;
+  o["push_skipped_by_ctp"] = s.num_push_skipped_by_ctp;
+  o["push_ctp_revalidations"] = s.num_push_ctp_revalidations;
   o["max_frame"] = s.max_frame;
   // SAT hot-path counters (PR 4): campaigns quantify the solver-layer
   // optimizations — total propagation work, trail-reuse savings, binary
@@ -117,7 +120,11 @@ ic3::Ic3Stats stats_from_json(const json::Value& v) {
   s.num_push_queries = v.at("push_queries").as_uint();
   s.max_frame = v.at("max_frame").as_uint();
   // Absent in rows written before the SAT-layer counters existed; at()
-  // returns a null Value whose as_uint() falls back to 0.
+  // returns a null Value whose as_uint() falls back to 0.  The same holds
+  // for the push counters below, which rows before the CTP cache lack.
+  s.num_push_successes = v.at("push_successes").as_uint();
+  s.num_push_skipped_by_ctp = v.at("push_skipped_by_ctp").as_uint();
+  s.num_push_ctp_revalidations = v.at("push_ctp_revalidations").as_uint();
   s.sat_solve_calls = v.at("sat_solve_calls").as_uint();
   s.sat_propagations = v.at("sat_propagations").as_uint();
   s.sat_conflicts = v.at("sat_conflicts").as_uint();

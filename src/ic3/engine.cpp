@@ -1,6 +1,7 @@
 #include "ic3/engine.hpp"
 
 #include <algorithm>
+#include <cassert>
 
 #include "obs/phase.hpp"
 #include "obs/progress.hpp"
@@ -255,31 +256,74 @@ bool Engine::propagate(const Deadline& deadline) {
   // Propagation boundary: strategies clear their failure tables (paper
   // line 44) and the dynamic meta-strategy evaluates its switching policy.
   generalizer_.on_propagate();
+  const std::uint64_t pass_start = frames_.install_count();
+  PushCtpMap kept;  // this pass's CTPs; entries not visited again die
   bool fixpoint = false;
   for (std::size_t i = 1; i < frames_.top_level() && !fixpoint; ++i) {
+    // Only its own push takes a lemma out of delta(i) during the pass: no
+    // lemma subsumes another at its own level or above (Frames), so every
+    // snapshot entry is still in delta(i) when it is visited.
     const std::vector<Cube> snapshot = frames_.delta(i);
     for (const Cube& c : snapshot) {
       if (cancel_ != nullptr && cancel_->stop_requested()) throw TimeoutError{};
-      // The lemma may have been subsumed by a previous push in this pass.
-      const auto& bucket = frames_.delta(i);
-      if (std::find(bucket.begin(), bucket.end(), c) == bucket.end()) {
-        continue;
+      CubeLevelKey key{c, i};
+      if (auto cached = push_ctps_.extract(key); !cached.empty()) {
+        ++stats_.num_push_ctp_revalidations;
+        PushCtp& ctp = cached.mapped();
+        if (ctp_still_valid(ctp, i)) {
+          // The cached model still satisfies R_i ∧ T ∧ c′: the push fails
+          // again, so skip its solve.
+          ++stats_.num_push_skipped_by_ctp;
+#ifndef NDEBUG
+          const bool pushed = solvers_.relative_inductive(
+              c, i, /*cube_clause_in_frame=*/true, nullptr, deadline);
+          assert(!pushed && "a cached CTP skipped a push that succeeds");
+#endif
+          ctp.stamp = frames_.install_count();
+          if (generalizer_.wants_push_failures()) {
+            generalizer_.on_push_failure(c, i, ctp.successor);
+          }
+          kept.insert(std::move(cached));
+          continue;
+        }
       }
       ++stats_.num_push_queries;
       if (solvers_.relative_inductive(c, i, /*cube_clause_in_frame=*/true,
                                       nullptr, deadline)) {
-        frames_.remove_lemma(c, i);
-        if (frames_.add_lemma(c, i + 1)) solvers_.add_lemma_clause(c, i + 1);
+        frames_.push_lemma(c, i);
+        solvers_.add_lemma_clause(c, i + 1);
         ++stats_.num_push_successes;
-      } else if (generalizer_.wants_push_failures()) {
+      } else {
         // Record the counterexample to propagation (paper lines 49-50).
-        generalizer_.on_push_failure(
-            c, i, solvers_.model_state(/*primed=*/true));
+        PushCtp ctp{solvers_.model_state(/*primed=*/false),
+                    solvers_.model_state(/*primed=*/true),
+                    frames_.install_count()};
+        if (generalizer_.wants_push_failures()) {
+          generalizer_.on_push_failure(c, i, ctp.successor);
+        }
+        kept.emplace(std::move(key), std::move(ctp));
       }
     }
     if (frames_.delta(i).empty()) fixpoint = true;
   }
+  push_ctps_ = std::move(kept);
+  // Every kept entry is stamped at or after pass_start.
+  frames_.forget_installs_before(pass_start);
   return fixpoint;
+}
+
+bool Engine::ctp_still_valid(const PushCtp& ctp, std::size_t level) const {
+  for (const LemmaInstall& install : frames_.installs_since(ctp.stamp)) {
+    if (install.level < level || install.from >= level) continue;
+    // s satisfies the clause ¬d iff it falsifies a literal of d.  s may be
+    // partial (model_state drops unassigned latches), so test for ¬l in s
+    // rather than d ⊄ s.
+    const auto falsified = [&](Lit l) { return ctp.state.contains(~l); };
+    if (std::none_of(install.cube.begin(), install.cube.end(), falsified)) {
+      return false;
+    }
+  }
+  return true;
 }
 
 Trace Engine::build_trace(int leaf_index) const {

@@ -11,11 +11,22 @@
 ///
 /// The result carries a verifiable witness (trace or inductive invariant)
 /// and the success-rate statistics of the paper's §4.3.
+///
+/// Propagation is incremental.  A failed push of lemma c at level i leaves
+/// a counterexample to propagation (CTP): a predecessor state s in R_i whose
+/// successor t lies in c.  The engine keeps (s, t) with the frames' install
+/// stamp.  R_i only gets stronger and T is fixed, so the next pass skips the
+/// solve for (c, i), and hands t on as the failure's CTP, as long as s
+/// falsifies a literal of every lemma that R_i gained since the stamp
+/// (Frames' install log).  Only the propagation pass caches; the pushes
+/// after a new lemma is blocked always solve.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <set>
 #include <tuple>
+#include <unordered_map>
 #include <vector>
 
 #include "ic3/config.hpp"
@@ -78,12 +89,27 @@ class Engine {
   };
   using QueueKey = std::tuple<std::size_t, std::size_t, int>;
 
+  /// The CTP of a failed push: the full predecessor and successor states of
+  /// the SAT model, and the frames' install_count() when it was last known
+  /// to be a model of R_level ∧ T ∧ c′.
+  struct PushCtp {
+    Cube state;
+    Cube successor;
+    std::uint64_t stamp = 0;
+  };
+  using PushCtpMap =
+      std::unordered_map<CubeLevelKey, PushCtp, CubeLevelKeyHash>;
+
   /// Blocks the root obligation; returns false when a counterexample chain
   /// reached the initial states (cex_leaf_ set).
   bool block(int root_index, const Deadline& deadline);
 
   void add_lemma(const Cube& cube, std::size_t level);
   bool propagate(const Deadline& deadline);
+  /// True iff `ctp.state` still lies in R_level: it falsifies a literal of
+  /// every lemma that R_level gained since `ctp.stamp`.
+  [[nodiscard]] bool ctp_still_valid(const PushCtp& ctp,
+                                     std::size_t level) const;
   /// Polls Config::lemma_bus (when set) and installs every peer lemma that
   /// survives one relative-induction validation query; called at each
   /// propagation boundary.
@@ -101,6 +127,10 @@ class Engine {
   SolverManager solvers_;
   Lifter lifter_;
   Generalizer generalizer_;
+
+  /// CTPs of the failed pushes of the last propagation pass, by
+  /// (lemma, level); each pass keeps only the entries it visits.
+  PushCtpMap push_ctps_;
 
   std::vector<Obligation> pool_;
   std::set<QueueKey> queue_;

@@ -1,6 +1,8 @@
 #include "ic3/frames.hpp"
 
 #include <algorithm>
+#include <cassert>
+#include <utility>
 
 namespace pilot::ic3 {
 
@@ -28,16 +30,38 @@ bool Frames::add_lemma(const Cube& cube, std::size_t level,
     bucket.erase(new_end, bucket.end());
   }
   delta_[level].push_back(cube);
+  log_.push_back(LemmaInstall{level, cube, 0});
   if (removed_count != nullptr) *removed_count = removed;
   return true;
 }
 
-bool Frames::remove_lemma(const Cube& cube, std::size_t level) {
+void Frames::push_lemma(Cube cube, std::size_t level) {
+  ensure_level(level + 1);
   auto& bucket = delta_[level];
   const auto it = std::find(bucket.begin(), bucket.end(), cube);
-  if (it == bucket.end()) return false;
+  assert(it != bucket.end());
   bucket.erase(it);
-  return true;
+  // The invariant: nothing at level + 1 or above subsumes the lemma, and it
+  // subsumes nothing else at or below `level`.  Only delta(level + 1) can
+  // hold lemmas it displaces.
+  assert(!subsumed_at(cube, level + 1));
+  std::erase_if(delta_[level + 1],
+                [&](const Cube& d) { return cube.subset_of(d); });
+  delta_[level + 1].push_back(cube);
+  log_.push_back(LemmaInstall{level + 1, std::move(cube), level});
+}
+
+std::span<const LemmaInstall> Frames::installs_since(
+    std::uint64_t stamp) const {
+  assert(stamp >= log_base_ && stamp <= install_count());
+  return std::span<const LemmaInstall>(log_).subspan(stamp - log_base_);
+}
+
+void Frames::forget_installs_before(std::uint64_t stamp) {
+  if (stamp <= log_base_) return;
+  log_.erase(log_.begin(),
+             log_.begin() + static_cast<std::ptrdiff_t>(stamp - log_base_));
+  log_base_ = stamp;
 }
 
 bool Frames::subsumed_at(const Cube& cube, std::size_t level) const {

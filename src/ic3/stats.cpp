@@ -83,6 +83,12 @@ std::string Ic3Stats::summary() const {
       << " obligations=" << num_obligations << " ctis=" << num_ctis
       << " generalizations=" << num_generalizations
       << " mic_queries=" << num_mic_queries << " drops=" << num_mic_drops;
+  if (num_push_queries > 0 || num_push_ctp_revalidations > 0) {
+    oss << " | push: queries=" << num_push_queries
+        << " successes=" << num_push_successes
+        << " ctp_skips=" << num_push_skipped_by_ctp
+        << " ctp_revalidations=" << num_push_ctp_revalidations;
+  }
   if (num_prediction_queries > 0 || num_found_failed_parents > 0) {
     oss << " | predict: N_p=" << num_prediction_queries
         << " N_sp=" << num_successful_predictions

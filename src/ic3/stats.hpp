@@ -81,8 +81,13 @@ struct Ic3Stats {
   std::uint64_t num_ctis = 0;
   std::uint64_t num_mic_queries = 0;       // SAT queries spent dropping vars
   std::uint64_t num_mic_drops = 0;         // literals successfully dropped
-  std::uint64_t num_push_queries = 0;
+  std::uint64_t num_push_queries = 0;     // propagation push solves issued
   std::uint64_t num_push_successes = 0;
+  /// Propagation pushes whose cached CTP was checked against the lemmas
+  /// installed since it was found, and those it still refuted, so the
+  /// solve was skipped (not counted in num_push_queries).
+  std::uint64_t num_push_ctp_revalidations = 0;
+  std::uint64_t num_push_skipped_by_ctp = 0;
   std::uint64_t num_ctg_blocked = 0;
   std::uint64_t num_solver_rebuilds = 0;
   std::uint64_t num_subsumed_lemmas = 0;

@@ -279,6 +279,27 @@ TEST(Engine, DeterministicAcrossRuns) {
   EXPECT_EQ(fingerprint(cc2), fingerprint(cc2));
 }
 
+TEST(Engine, CachedCtpsSkipPushSolvesAndStaySound) {
+  // A failed push keeps its CTP; while the CTP's predecessor still lies in
+  // the frame, the next propagation pass skips that push's solve.  Debug
+  // builds re-issue every skipped push and assert that it fails.
+  for (const bool predict : {false, true}) {  // ic3-down, ic3-down-pl
+    Config cfg;
+    cfg.gen_mode = GenMode::kDown;
+    cfg.predict_lemmas = predict;
+    const auto cc = circuits::token_ring_safe(6);
+    const Result r = run(cc, cfg);
+    ASSERT_EQ(r.verdict, Verdict::kSafe) << predict;
+    const Ic3Stats& s = r.stats;
+    EXPECT_GT(s.num_push_skipped_by_ctp, 0u) << predict;
+    EXPECT_LE(s.num_push_skipped_by_ctp, s.num_push_ctp_revalidations);
+    EXPECT_LE(s.num_push_successes, s.num_push_queries);
+    const ts::TransitionSystem ts = ts::TransitionSystem::from_aig(cc.aig);
+    EXPECT_TRUE(cert::check(ts, cert::from_invariant(ts, *r.invariant)).ok)
+        << predict;
+  }
+}
+
 TEST(Engine, InvariantUsesOnlyStateVariables) {
   const Result r = run(circuits::twin_counters_safe(5));
   ASSERT_EQ(r.verdict, Verdict::kSafe);

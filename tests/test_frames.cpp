@@ -1,5 +1,5 @@
 /// Frames tests: delta encoding, subsumption on insert, parent-lemma lookup
-/// (Algorithm 2 line 1-7 semantics), and removal.
+/// (Algorithm 2 line 1-7 semantics), pushes, and the install log.
 #include <gtest/gtest.h>
 
 #include "ic3/frames.hpp"
@@ -92,27 +92,75 @@ TEST(Frames, ParentsOfMatchesAlgorithm2) {
   EXPECT_TRUE(f.parents_of(b, 7).empty());
 }
 
-TEST(Frames, RemoveLemma) {
-  Frames f;
-  f.ensure_level(2);
-  const Cube c = Cube::from_lits({pos(1), pos(2)});
-  ASSERT_TRUE(f.add_lemma(c, 1));
-  EXPECT_TRUE(f.remove_lemma(c, 1));
-  EXPECT_FALSE(f.remove_lemma(c, 1));  // already gone
-  EXPECT_EQ(f.total_lemmas(), 0u);
-}
-
-TEST(Frames, PushPatternMovesLemmaUp) {
-  // Simulates propagation: remove at i, add at i+1.
+TEST(Frames, PushMovesLemmaUpAndDisplacesWeakerOnesThere) {
   Frames f;
   f.ensure_level(3);
   const Cube c = Cube::from_lits({pos(4), neg(5)});
+  const Cube other = Cube::from_lits({pos(6)});
+  const Cube weaker = Cube::from_lits({pos(4), neg(5), pos(7)});
+  ASSERT_TRUE(f.add_lemma(other, 1));
   ASSERT_TRUE(f.add_lemma(c, 1));
-  ASSERT_TRUE(f.remove_lemma(c, 1));
-  ASSERT_TRUE(f.add_lemma(c, 2));
-  EXPECT_TRUE(f.delta(1).empty());
+  ASSERT_TRUE(f.add_lemma(Cube::from_lits({pos(8)}), 1));
+  ASSERT_TRUE(f.add_lemma(weaker, 2));  // c at level 1 does not subsume it
+  f.push_lemma(c, 1);
+  // The others of delta(1) keep their order; c replaces `weaker` at 2.
+  ASSERT_EQ(f.delta(1).size(), 2u);
+  EXPECT_EQ(f.delta(1)[0], other);
+  EXPECT_EQ(f.delta(1)[1], Cube::from_lits({pos(8)}));
   ASSERT_EQ(f.delta(2).size(), 1u);
-  // After the move, delta(1) empty signals R_1 = R_2 (fixpoint test hook).
+  EXPECT_EQ(f.delta(2)[0], c);
+  EXPECT_EQ(f.total_lemmas(), 3u);
+}
+
+TEST(Frames, InstallLogRecordsEveryInstall) {
+  Frames f;
+  f.ensure_level(3);
+  EXPECT_EQ(f.install_count(), 0u);
+  const Cube weak = Cube::from_lits({pos(1), pos(2)});
+  const Cube strong = Cube::from_lits({pos(1)});
+
+  // A new lemma is logged.
+  ASSERT_TRUE(f.add_lemma(weak, 1));
+  const std::uint64_t stamp = f.install_count();
+  EXPECT_EQ(stamp, 1u);
+
+  // A subsumed cube is rejected and not logged.
+  ASSERT_TRUE(f.add_lemma(strong, 1));
+  EXPECT_FALSE(f.add_lemma(weak, 1));
+  EXPECT_FALSE(f.add_lemma(strong, 1));
+  EXPECT_EQ(f.install_count(), 2u);
+
+  // A push to the next level is logged.
+  f.push_lemma(strong, 1);
+  EXPECT_EQ(f.install_count(), 3u);
+
+  // The subsuming replacement of `weak` and the push of `strong` are what
+  // changed since the stamp, oldest first.  The push strengthens R_2 only.
+  const auto since = f.installs_since(stamp);
+  ASSERT_EQ(since.size(), 2u);
+  EXPECT_EQ(since[0].level, 1u);
+  EXPECT_EQ(since[0].from, 0u);
+  EXPECT_EQ(since[0].cube, strong);
+  EXPECT_EQ(since[1].level, 2u);
+  EXPECT_EQ(since[1].from, 1u);
+  EXPECT_EQ(since[1].cube, strong);
+  EXPECT_TRUE(f.installs_since(f.install_count()).empty());
+}
+
+TEST(Frames, ForgettingOldInstallsKeepsStampsAbsolute) {
+  Frames f;
+  f.ensure_level(2);
+  ASSERT_TRUE(f.add_lemma(Cube::from_lits({pos(1)}), 1));
+  ASSERT_TRUE(f.add_lemma(Cube::from_lits({pos(2)}), 1));
+  const std::uint64_t stamp = f.install_count();
+  ASSERT_TRUE(f.add_lemma(Cube::from_lits({pos(3)}), 2));
+  f.forget_installs_before(stamp);
+  EXPECT_EQ(f.install_count(), 3u);
+  const auto since = f.installs_since(stamp);
+  ASSERT_EQ(since.size(), 1u);
+  EXPECT_EQ(since[0].cube, Cube::from_lits({pos(3)}));
+  f.forget_installs_before(stamp);  // no-op: already cut there
+  EXPECT_EQ(f.installs_since(stamp).size(), 1u);
 }
 
 }  // namespace

@@ -228,6 +228,33 @@ TEST(ResultsDb, RetiredSetKeysAreDroppedOnLoad) {
   EXPECT_EQ(db.rows()[0].context.patch, ic3::ConfigPatch::parse({"gen=down"}));
 }
 
+TEST(ResultsDb, PushCountersRoundTripAndOldRowsReadZero) {
+  RunRow row = make_row("a", "ic3-down", ic3::Verdict::kSafe, 0.5);
+  row.record.stats.num_push_queries = 45;
+  row.record.stats.num_push_successes = 41;
+  row.record.stats.num_push_skipped_by_ctp = 10;
+  row.record.stats.num_push_ctp_revalidations = 12;
+  const RunRow back = row_from_json(json::parse(to_json(row).dump()));
+  EXPECT_EQ(back.record.stats.num_push_queries, 45u);
+  EXPECT_EQ(back.record.stats.num_push_successes, 41u);
+  EXPECT_EQ(back.record.stats.num_push_skipped_by_ctp, 10u);
+  EXPECT_EQ(back.record.stats.num_push_ctp_revalidations, 12u);
+
+  // A row written before these counters were persisted loads them as 0.
+  json::Object old = to_json(row).as_object();
+  json::Object stats = old.at("stats").as_object();
+  for (const char* key :
+       {"push_successes", "push_skipped_by_ctp", "push_ctp_revalidations"}) {
+    ASSERT_EQ(stats.erase(key), 1u) << key;
+  }
+  old["stats"] = json::Value(std::move(stats));
+  const RunRow legacy = row_from_json(json::Value(old));
+  EXPECT_EQ(legacy.record.stats.num_push_queries, 45u);
+  EXPECT_EQ(legacy.record.stats.num_push_successes, 0u);
+  EXPECT_EQ(legacy.record.stats.num_push_skipped_by_ctp, 0u);
+  EXPECT_EQ(legacy.record.stats.num_push_ctp_revalidations, 0u);
+}
+
 TEST(ResultsDb, MergeKeepsLastRowPerCaseEngineKey) {
   ResultsDb db;
   db.add(make_row("a", "ic3-ctg", ic3::Verdict::kSafe, 0.5));
