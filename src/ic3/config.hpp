@@ -100,8 +100,10 @@ struct Config {
   enum class LiftSim { kPacked, kByte };
   LiftSim lift_sim = LiftSim::kPacked;
   bool reenqueue_obligations = true;
-  /// Rebuild the main solver after this many retired temporary activation
-  /// literals (controls junk accumulation).
+  /// Rebuild the main solver (and the lifter's) after this many retired
+  /// temporary activation variables.  The temporary clauses themselves are
+  /// detached after their query; a rebuild only reclaims the retired
+  /// variables and the learnt clauses that mention them.
   std::size_t rebuild_tmp_threshold = 3000;
 
   // --- SAT layer tuning ---
@@ -110,10 +112,6 @@ struct Config {
   /// On by default; the off position exists for A/B measurement and for
   /// the verdict-equivalence tests.
   bool sat_trail_reuse = true;
-  /// Carry saved phases and (normalized) variable activities into the
-  /// fresh solver when maybe_rebuild() retires one, instead of restarting
-  /// the search heuristics from zero.
-  bool rebuild_carry_state = true;
 
   std::uint64_t seed = 0;
 

@@ -243,10 +243,10 @@ Cube Lifter::lift_predecessor(const Cube& pred_full,
       break;
   }
   maybe_rebuild();
-  const Lit tmp = Lit::make(solver_->new_var());
-  std::vector<Lit> clause{~tmp};
+  std::vector<Lit> clause;
+  clause.reserve(successor.size());
   for (const Lit l : successor) clause.push_back(~ts_.prime(l));
-  solver_->add_clause(clause);
+  const Lit tmp = solver_->add_temporary(clause);
 
   std::vector<Lit> assumptions;
   assumptions.reserve(pred_full.size() + inputs.size() + 1);
@@ -257,7 +257,7 @@ Cube Lifter::lift_predecessor(const Cube& pred_full,
   for (const Lit l : pred_full) assumptions.push_back(l);
 
   const sat::SolveResult res = solver_->solve(assumptions, deadline);
-  solver_->add_unit(~tmp);
+  solver_->drop_temporary();
   ++retired_tmp_;
   if (res == sat::SolveResult::kUnknown) throw TimeoutError{};
   if (res == sat::SolveResult::kSat) return pred_full;  // defensive

@@ -70,23 +70,19 @@ bool SolverManager::relative_inductive(const Cube& c, std::size_t level,
   ensure_level(level);
   std::vector<Lit> assumptions = frame_assumptions(level);
 
-  Lit tmp = sat::kLitUndef;
   if (!cube_clause_in_frame) {
-    tmp = Lit::make(solver_->new_var());
-    // The throw-away activation variable is never decided on and never
-    // assumed again after this query, which leaves the temporary clause
-    // permanently inert — no retiring unit clause is needed, so the kept
-    // trail (and with it the assumption-prefix reuse) survives the query.
-    solver_->set_decision_var(tmp.var(), false);
-    std::vector<Lit> clause = c.negated_lits();
-    clause.push_back(~tmp);
-    solver_->add_clause(clause);
-    assumptions.push_back(tmp);
+    // The temporary ¬c clause lives for this one solve: its activation
+    // literal is assumed here only, and drop_temporary() detaches it on
+    // every outcome, before a timeout is thrown.
+    assumptions.push_back(solver_->add_temporary(c.negated_lits()));
   }
   for (const Lit l : c) assumptions.push_back(ts_.prime(l));
 
   const sat::SolveResult res = solver_->solve(assumptions, deadline);
-  if (!cube_clause_in_frame) ++retired_tmp_;
+  if (!cube_clause_in_frame) {
+    solver_->drop_temporary();
+    ++retired_tmp_;
+  }
   if (res == sat::SolveResult::kUnknown) throw TimeoutError{};
   if (res == sat::SolveResult::kSat) return false;
   if (core_out != nullptr) *core_out = shrink_with_core(c);
@@ -260,7 +256,7 @@ void SolverManager::rebuild(const Frames& frames) {
       solver_->add_clause(clause);
     }
   }
-  if (cfg_.rebuild_carry_state) carry_solver_state(*old, old_acts);
+  carry_solver_state(*old, old_acts);
   ++stats_.num_solver_rebuilds;
   PILOT_DEBUG("solver rebuilt; lemmas=" << frames.total_lemmas());
 }

@@ -14,11 +14,14 @@
 /// — the generalization hot loop — then share the longest possible prefix
 /// and skip its re-propagation entirely.
 ///
-/// Temporary clauses (the ¬c part of a relative-induction query) get a
-/// fresh throw-away activation variable that is excluded from decisions
-/// and never assumed again, which leaves the clause inert; the solver is
-/// rebuilt from the frames once enough junk has accumulated, carrying
-/// saved phases and activities over so the search heuristics survive.
+/// The ¬c part of a relative-induction query is the solver's query-scoped
+/// temporary clause (sat::Solver::add_temporary): guarded by a fresh
+/// activation variable that is never decided on, assumed for this one
+/// solve, and detached again right after it, on every outcome.  What a
+/// query leaves behind is its retired activation variable and the learnt
+/// clauses that mention it; once enough have accumulated, the solver is
+/// rebuilt from the frames, carrying saved phases and activities over so
+/// the search heuristics survive.
 #pragma once
 
 #include <memory>
@@ -75,13 +78,14 @@ class SolverManager {
   [[nodiscard]] std::vector<Lit> model_inputs() const;
 
   /// Rebuilds the solver from scratch with the lemmas in `frames`,
-  /// carrying phases/activities over when Config::rebuild_carry_state.
+  /// carrying saved phases and activities over.
   /// The lemma set is dedup/subsume-swept across levels first (see
   /// reduce_lemma_buckets), so a rebuild shrinks the CNF instead of
   /// replaying install history.
   void rebuild(const Frames& frames);
 
-  /// Rebuilds if enough temporary clauses have been retired.
+  /// Rebuilds once Config::rebuild_tmp_threshold temporary activation
+  /// variables have been retired.
   void maybe_rebuild(const Frames& frames);
 
   /// Aggregate SAT counters across the current solver and every solver

@@ -92,7 +92,7 @@ struct Ic3Stats {
   std::uint64_t num_solver_rebuilds = 0;
   std::uint64_t num_subsumed_lemmas = 0;
   /// Variables whose saved phase/activity were carried into a fresh solver
-  /// by SolverManager::rebuild (Config::rebuild_carry_state).
+  /// by SolverManager::rebuild.
   std::uint64_t num_rebuild_carried_phases = 0;
   /// Frame lemmas skipped by the cross-level dedup/subsume sweep in
   /// SolverManager::rebuild (defensive: Frames maintains the invariant, so

@@ -91,26 +91,31 @@ Solver::ClauseNorm Solver::normalize_clause(std::vector<Lit>& lits) const {
 bool Solver::add_clause(std::span<const Lit> literals) {
   if (!ok_) return false;
   std::vector<Lit> lits(literals.begin(), literals.end());
+  const ClauseRef ref = install_clause(lits);
+  if (ref != kClauseRefUndef) clauses_.push_back(ref);
+  return ok_;
+}
+
+ClauseRef Solver::install_clause(std::vector<Lit>& lits) {
   switch (normalize_clause(lits)) {
     case ClauseNorm::kTrivial:
-      return true;
+      return kClauseRefUndef;
     case ClauseNorm::kEmpty:
       ok_ = false;
-      return false;
+      return kClauseRefUndef;
     case ClauseNorm::kReady:
       break;
   }
   if (lits.size() == 1) {
     // Units live at the root; drop any kept trail first.
     cancel_until(0);
-    if (value(lits[0]) == l_True) return true;
     if (value(lits[0]) == l_False) {
       ok_ = false;
-      return false;
+    } else if (value(lits[0]).is_undef()) {
+      unchecked_enqueue(lits[0]);
+      ok_ = (propagate() == kClauseRefUndef);
     }
-    unchecked_enqueue(lits[0]);
-    ok_ = (propagate() == kClauseRefUndef);
-    return ok_;
+    return kClauseRefUndef;
   }
   if (decision_level() > 0) {
     // Attach in place when two non-false watches exist under the current
@@ -123,9 +128,50 @@ bool Solver::add_clause(std::span<const Lit> literals) {
     if (nonfalse < 2) cancel_until(0);
   }
   const ClauseRef ref = arena_.alloc(lits, /*learnt=*/false);
-  clauses_.push_back(ref);
   attach_clause(ref);
-  return true;
+  return ref;
+}
+
+Lit Solver::add_temporary(std::span<const Lit> literals) {
+  assert(temporary_act_.is_undef() && "one temporary clause at a time");
+  const Var a = new_var();
+  set_decision_var(a, false);
+  temporary_act_ = Lit::make(a);
+  if (ok_) {
+    std::vector<Lit> lits(literals.begin(), literals.end());
+    lits.push_back(~temporary_act_);
+    temporary_ = install_clause(lits);
+  }
+  return temporary_act_;
+}
+
+void Solver::drop_temporary() {
+  const ClauseRef ref = temporary_;
+  const Var a = temporary_act_.var();
+  temporary_ = kClauseRefUndef;
+  temporary_act_ = kLitUndef;
+  if (ref == kClauseRefUndef) return;
+  // Only literals at or above a's level can have the clause as their
+  // reason (it propagates only once a is true, or propagates ¬a itself),
+  // so cutting the trail below that level frees the clause.  The next
+  // solve() would cut those levels anyway: a is never assumed again.
+  if (!value(a).is_undef()) {
+    if (level(a) > 0) {
+      cancel_until(level(a) - 1);
+    } else if (reason(a) == ref) {
+      // ¬a propagated at the root stays a root fact; conflict analysis
+      // never reads the reason of a root literal.
+      vardata_[a].reason = kClauseRefUndef;
+    }
+  }
+#ifndef NDEBUG
+  assert(!clause_locked(ref));
+  for (const Lit p : trail_) assert(reason(p.var()) != ref);
+#endif
+  // The freed words are reclaimed by the next reduce_db() or simplify():
+  // collecting here would rescan every watch list, whose count grows with
+  // each retired activation variable.
+  remove_clause(ref);
 }
 
 void Solver::attach_clause(ClauseRef ref) {
@@ -563,6 +609,9 @@ void Solver::relocate_all(ClauseArena& target) {
   }
   for (auto& ref : clauses_) ref = arena_.relocate(ref, target);
   for (auto& ref : learnts_) ref = arena_.relocate(ref, target);
+  if (temporary_ != kClauseRefUndef) {
+    temporary_ = arena_.relocate(temporary_, target);
+  }
 }
 
 SolveResult Solver::search(std::int64_t conflicts_allowed,

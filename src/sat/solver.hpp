@@ -8,6 +8,11 @@
 ///     calls and only the decision levels whose assumptions diverge from
 ///     the previous call are re-propagated — IC3's long shared activation
 ///     prefixes (act_j for all j ≥ level) become near-free,
+///   * one query-scoped temporary clause (add_temporary/drop_temporary):
+///     the ¬c of a relative-induction query, or the ¬t′ of a lifting
+///     query, is guarded by a fresh activation literal and detached right
+///     after its solve, so retired clauses never sit in the watch lists
+///     and retiring one costs no root backtrack,
 ///   * final-conflict analysis producing an unsat core over assumptions
 ///     (used for cube shrinking and lifting in IC3),
 ///   * phase hints (IC3 seeds predecessor searches with cube polarities),
@@ -119,6 +124,28 @@ class Solver {
   bool add_unit(Lit a) { return add_clause({a}); }
   bool add_binary(Lit a, Lit b) { return add_clause({a, b}); }
   bool add_ternary(Lit a, Lit b, Lit c) { return add_clause({a, b, c}); }
+
+  /// Adds the query-scoped temporary clause `literals ∨ ¬a` for a fresh
+  /// activation variable `a`, which is never decided on, and returns `a`:
+  /// the caller assumes it in the next solve() and then calls
+  /// drop_temporary().  At most one temporary clause is live at a time.
+  /// A clause that normalizes to the unit ¬a (every other literal false
+  /// at the root) becomes a root unit and allocates nothing.
+  Lit add_temporary(std::span<const Lit> literals);
+
+  /// Detaches and frees the live temporary clause.  If its activation
+  /// variable is assigned at a level L > 0, the kept trail is cut back to
+  /// L − 1 first, so no kept literal keeps the clause as its reason.  Sound
+  /// because the activation variable is never assumed again: every learnt
+  /// clause derived from the temporary one contains ¬a, which a = false
+  /// satisfies.  The last model and core stay readable.
+  void drop_temporary();
+
+  /// Problem clauses of two or more literals, the live temporary clause
+  /// included (units are root assignments and learnts are not counted).
+  [[nodiscard]] std::size_t num_clauses() const {
+    return clauses_.size() + (temporary_ == kClauseRefUndef ? 0 : 1);
+  }
 
   /// True while no top-level contradiction has been derived.
   [[nodiscard]] bool okay() const { return ok_; }
@@ -254,6 +281,11 @@ class Solver {
   /// Shared clause normalization: sort, dedup, drop root-false literals.
   enum class ClauseNorm { kTrivial, kEmpty, kReady };
   ClauseNorm normalize_clause(std::vector<Lit>& lits) const;
+  /// Normalizes and installs a problem clause: a unit is enqueued at the
+  /// root, a longer clause is allocated and attached, and its reference is
+  /// returned (kClauseRefUndef when nothing was allocated).  Clears ok_ on
+  /// a top-level contradiction.
+  ClauseRef install_clause(std::vector<Lit>& lits);
   void attach_clause(ClauseRef ref);
   void detach_clause(ClauseRef ref);
   void remove_clause(ClauseRef ref);
@@ -269,6 +301,9 @@ class Solver {
   ClauseArena arena_;
   std::vector<ClauseRef> clauses_;  // original problem clauses
   std::vector<ClauseRef> learnts_;
+  // The live temporary clause and its activation literal (add_temporary).
+  ClauseRef temporary_ = kClauseRefUndef;
+  Lit temporary_act_ = kLitUndef;
   std::vector<std::vector<Watcher>> watches_;  // indexed by Lit::index()
   std::vector<std::vector<BinWatcher>> bin_watches_;  // 2-literal clauses
 

@@ -4,6 +4,8 @@
 /// relocation bugs that functional tests rarely reach.
 #include <gtest/gtest.h>
 
+#include <tuple>
+
 #include "sat/dimacs.hpp"
 #include "sat/solver.hpp"
 #include "util/rng.hpp"
@@ -75,34 +77,78 @@ TEST_P(SatStress, LongIncrementalSessionMatchesFreshSolvers) {
   }
 }
 
-TEST_P(SatStress, RepeatedTemporaryActivationPattern) {
-  // The IC3 usage pattern: temporary activation variables created, used
-  // in one query, and retired with a unit clause — hundreds of times.
-  Rng rng(static_cast<std::uint64_t>(GetParam()) * 7177 + 11);
+INSTANTIATE_TEST_SUITE_P(Seeds, SatStress, ::testing::Range(0, 4));
+
+/// How a round retires its temporary clause: a unit clause ¬a, or the
+/// solver's query-scoped drop.
+enum class Retire { kUnit, kDrop };
+
+class SatTemporaryStress
+    : public ::testing::TestWithParam<std::tuple<int, Retire>> {};
+
+TEST_P(SatTemporaryStress, RepeatedTemporaryActivationPattern) {
+  // The IC3 usage pattern: a temporary clause guarded by a fresh
+  // activation variable, used in one query and retired — hundreds of
+  // times.  Every round's answer must match a fresh solver holding the
+  // base plus that round's clause.
+  const auto [seed, retire] = GetParam();
+  Rng rng(static_cast<std::uint64_t>(seed) * 7177 + 11);
   const int num_vars = 30;
   Solver solver;
   for (int v = 0; v < num_vars; ++v) solver.new_var();
   const Cnf base = random_cnf(rng, num_vars, 90);
   if (!load_into_solver(base, solver)) GTEST_SKIP() << "base unsat";
+  const std::size_t base_clauses = solver.num_clauses();
 
   for (int round = 0; round < 200; ++round) {
-    const Var act = solver.new_var();
-    // Temporary clause: act → (random clause).
-    std::vector<Lit> clause{Lit::make(act, true)};
+    std::vector<Lit> clause;
     for (int i = 0; i < 3; ++i) {
       clause.push_back(Lit::make(static_cast<Var>(rng.below(num_vars)),
                                  rng.chance(0.5)));
     }
-    solver.add_clause(clause);
-    std::vector<Lit> assumptions{Lit::make(act)};
+    std::vector<Lit> extra;
     if (rng.chance(0.5)) {
-      assumptions.push_back(
+      extra.push_back(
           Lit::make(static_cast<Var>(rng.below(num_vars)), rng.chance(0.5)));
     }
+    Lit act = kLitUndef;
+    if (retire == Retire::kDrop) {
+      act = solver.add_temporary(clause);
+    } else {
+      act = Lit::make(solver.new_var());
+      std::vector<Lit> guarded = clause;
+      guarded.push_back(~act);
+      solver.add_clause(guarded);
+    }
+    std::vector<Lit> assumptions{act};
+    assumptions.insert(assumptions.end(), extra.begin(), extra.end());
     const SolveResult r = solver.solve(assumptions);
     ASSERT_NE(r, SolveResult::kUnknown);
-    solver.add_unit(Lit::make(act, true));  // retire
-    if (!solver.okay()) break;              // retired units may conflict
+
+    Solver reference;
+    Cnf with_clause = base;
+    with_clause.clauses.push_back(clause);
+    const SolveResult expected = load_into_solver(with_clause, reference)
+                                     ? reference.solve(extra)
+                                     : SolveResult::kUnsat;
+    ASSERT_EQ(r, expected) << "round " << round;
+    if (r == SolveResult::kSat) {
+      for (const auto& c : with_clause.clauses) {
+        bool satisfied = false;
+        for (const Lit l : c) {
+          satisfied = satisfied || solver.model_value(l) == l_True;
+        }
+        ASSERT_TRUE(satisfied) << "round " << round << ": model falsifies";
+      }
+    }
+
+    if (retire == Retire::kDrop) {
+      solver.drop_temporary();
+      EXPECT_EQ(solver.num_clauses(), base_clauses) << "round " << round;
+    } else {
+      solver.add_unit(~act);
+    }
+    if (!solver.okay()) break;  // retired units may conflict
   }
   // The base formula must still answer exactly as a fresh solver does.
   Solver reference;
@@ -112,7 +158,10 @@ TEST_P(SatStress, RepeatedTemporaryActivationPattern) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, SatStress, ::testing::Range(0, 4));
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, SatTemporaryStress,
+    ::testing::Combine(::testing::Range(0, 4),
+                       ::testing::Values(Retire::kUnit, Retire::kDrop)));
 
 TEST(SatStress, SimplifyDuringIncrementalUseKeepsAnswers) {
   Rng rng(77);

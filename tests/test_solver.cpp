@@ -217,6 +217,141 @@ TEST(TrailReuse, UnsatCallsKeepTheFailedPrefixCheap) {
   EXPECT_EQ(s.solve(good), SolveResult::kSat);
 }
 
+// ----- query-scoped temporary clauses ----------------------------------
+
+TEST(TemporaryClause, DropKeepsTheActivationPrefixForTheNextQuery) {
+  Solver s;
+  const Var x = s.new_var();
+  const Var y = s.new_var();
+  const Var z = s.new_var();
+  const Var a0 = s.new_var();
+  const Var a1 = s.new_var();
+  s.add_binary(neg(a0), pos(x));
+  const std::size_t base_clauses = s.num_clauses();
+
+  const Lit t1 = s.add_temporary(std::vector<Lit>{pos(y), pos(z)});
+  ASSERT_EQ(s.solve(std::vector<Lit>{pos(a1), pos(a0), t1}),
+            SolveResult::kSat);
+  EXPECT_TRUE(s.model_value(pos(y)) == l_True ||
+              s.model_value(pos(z)) == l_True);
+  s.drop_temporary();
+  EXPECT_EQ(s.num_clauses(), base_clauses);
+  EXPECT_EQ(s.stats().trail_reuse_hits, 0u);
+
+  // Same activation prefix, a new temporary clause: the drop cut only the
+  // temporary's level, so both prefix levels are reused.
+  const Lit t2 = s.add_temporary(std::vector<Lit>{pos(y), neg(z)});
+  ASSERT_EQ(s.solve(std::vector<Lit>{pos(a1), pos(a0), t2, neg(y)}),
+            SolveResult::kSat);
+  EXPECT_EQ(s.model_value(pos(z)), l_False);
+  s.drop_temporary();
+  EXPECT_EQ(s.stats().trail_reuse_hits, 1u);
+  EXPECT_EQ(s.stats().reused_levels, 2u);
+}
+
+TEST(TemporaryClause, DroppingAReasonOfTheKeptTrailKeepsAnswersCorrect) {
+  Solver s;
+  const Var x = s.new_var();
+  const Var y = s.new_var();
+  const Var p1 = s.new_var();
+  const Var p2 = s.new_var();
+  s.add_binary(neg(x), pos(y));  // x → y
+  // The temporary clause t → x propagates x at t's level; the answer keeps
+  // that level (and p2's above it) on the trail.
+  const Lit t = s.add_temporary(std::vector<Lit>{pos(x)});
+  ASSERT_EQ(s.solve(std::vector<Lit>{pos(p1), t, pos(p2)}), SolveResult::kSat);
+  EXPECT_EQ(s.model_value(pos(y)), l_True);
+  s.drop_temporary();
+  // x and y are free again.
+  ASSERT_EQ(s.solve(std::vector<Lit>{pos(p1), neg(y)}), SolveResult::kSat);
+  EXPECT_EQ(s.model_value(pos(x)), l_False);
+
+  // A temporary clause that propagates ¬t on the kept prefix: the query is
+  // refuted before t is assumed, and the drop cuts that level too.
+  s.add_binary(neg(p1), pos(x));  // p1 → x
+  const Lit u = s.add_temporary(std::vector<Lit>{neg(x)});
+  ASSERT_EQ(s.solve(std::vector<Lit>{pos(p1), u}), SolveResult::kUnsat);
+  std::vector<Lit> core = s.core();
+  std::sort(core.begin(), core.end());
+  std::vector<Lit> want{pos(p1), u};
+  std::sort(want.begin(), want.end());
+  EXPECT_EQ(core, want);
+  s.drop_temporary();
+  ASSERT_EQ(s.solve(std::vector<Lit>{pos(p1)}), SolveResult::kSat);
+  EXPECT_EQ(s.model_value(pos(y)), l_True);
+
+  // A temporary clause that becomes the root reason of ¬v once a unit
+  // arrives after it: the drop leaves ¬v a plain root fact.
+  const Var w = s.new_var();
+  const Lit v = s.add_temporary(std::vector<Lit>{neg(w)});
+  ASSERT_TRUE(s.add_unit(pos(w)));
+  ASSERT_EQ(s.solve(std::vector<Lit>{v}), SolveResult::kUnsat);
+  EXPECT_EQ(s.core(), std::vector<Lit>{v});
+  s.drop_temporary();
+  ASSERT_EQ(s.solve(), SolveResult::kSat);
+  EXPECT_EQ(s.model_value(pos(w)), l_True);
+}
+
+TEST(TemporaryClause, UnitTemporaryAllocatesNothingAndDropIsANoOp) {
+  Solver s;
+  const Var x = s.new_var();
+  const Var y = s.new_var();
+  s.add_binary(pos(x), pos(y));
+  ASSERT_TRUE(s.add_unit(pos(x)));
+  const std::size_t base_clauses = s.num_clauses();
+  // ¬x is false at the root, so the clause normalizes to the unit ¬t.
+  const Lit t = s.add_temporary(std::vector<Lit>{neg(x)});
+  EXPECT_EQ(s.num_clauses(), base_clauses);
+  ASSERT_EQ(s.solve(std::vector<Lit>{t}), SolveResult::kUnsat);
+  EXPECT_EQ(s.core(), std::vector<Lit>{t});
+  s.drop_temporary();
+  EXPECT_EQ(s.num_clauses(), base_clauses);
+  ASSERT_EQ(s.solve(std::vector<Lit>{neg(y)}), SolveResult::kSat);
+  EXPECT_EQ(s.model_value(pos(x)), l_True);
+}
+
+TEST(TemporaryClause, DropAfterBudgetedUnknownLeavesTheSolverUsable) {
+  // Pigeonhole 6 → 5: the temporary clause is pigeon 0's "sits somewhere"
+  // clause, without which the formula is satisfiable.
+  constexpr int kPigeons = 6;
+  constexpr int kHoles = 5;
+  Solver s;
+  Var sits[kPigeons][kHoles];
+  for (auto& row : sits) {
+    for (Var& v : row) v = s.new_var();
+  }
+  for (int p = 1; p < kPigeons; ++p) {
+    std::vector<Lit> somewhere;
+    for (int h = 0; h < kHoles; ++h) somewhere.push_back(pos(sits[p][h]));
+    s.add_clause(somewhere);
+  }
+  for (int h = 0; h < kHoles; ++h) {
+    for (int p = 0; p < kPigeons; ++p) {
+      for (int q = p + 1; q < kPigeons; ++q) {
+        s.add_binary(neg(sits[p][h]), neg(sits[q][h]));
+      }
+    }
+  }
+  std::vector<Lit> pigeon0;
+  for (int h = 0; h < kHoles; ++h) pigeon0.push_back(pos(sits[0][h]));
+  const std::size_t base_clauses = s.num_clauses();
+
+  s.set_conflict_budget(1);
+  const Lit t = s.add_temporary(pigeon0);
+  ASSERT_EQ(s.solve(std::vector<Lit>{t}), SolveResult::kUnknown);
+  s.drop_temporary();
+  EXPECT_EQ(s.num_clauses(), base_clauses);
+
+  s.set_conflict_budget(0);
+  const Lit u = s.add_temporary(pigeon0);
+  EXPECT_EQ(s.solve(std::vector<Lit>{u}), SolveResult::kUnsat);
+  s.drop_temporary();
+  ASSERT_EQ(s.solve(), SolveResult::kSat);
+  for (int h = 0; h < kHoles; ++h) {
+    EXPECT_EQ(s.model_value(pos(sits[0][h])), l_False);
+  }
+}
+
 TEST(SolverStats, BinaryPropagationsAreCountedSeparately) {
   Solver s;
   constexpr int kChain = 64;
