@@ -216,7 +216,7 @@ void BM_FullCheckCounterSafe(benchmark::State& state) {
   const ts::TransitionSystem ts = ts::TransitionSystem::from_aig(cc.aig);
   for (auto _ : state) {
     ic3::Config cfg;
-    cfg.predict_lemmas = state.range(0) != 0;
+    cfg.gen_spec = state.range(0) != 0 ? "predict" : "ctg";
     ic3::Engine engine(ts, cfg);
     benchmark::DoNotOptimize(engine.check());
   }
@@ -227,8 +227,8 @@ void BM_TernaryPacked_vs_Byte(benchmark::State& state) {
   // One full combinational sweep per simulated ternary pattern: the byte
   // backend (Arg 0) evaluates one pattern per sweep, the packed backend
   // (Arg 1) 32 per word-parallel sweep.  Items-processed normalizes per
-  // pattern, so the reported rate is directly comparable — this is the
-  // measurement behind Config::lift_sim defaulting to packed.
+  // pattern, so the reported rate is directly comparable — this is why the
+  // ternary lifter runs on the packed simulator.
   const auto cc = circuits::token_ring_safe(64);
   const bool packed = state.range(0) != 0;
   aig::TernarySimulator byte_sim(cc.aig);

@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
   const ts::TransitionSystem ts = ts::TransitionSystem::from_aig(ring.aig);
 
   ic3::Config cfg;
-  cfg.predict_lemmas = true;
+  cfg.gen_spec = "predict";
   ic3::Engine engine(ts, cfg);
   const ic3::Result result = engine.check();
 

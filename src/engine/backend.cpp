@@ -231,30 +231,24 @@ std::string unknown_engine_message(const std::string& token) {
 }
 
 ic3::Config ic3_config_for(const std::string& name, std::uint64_t seed) {
-  ic3::Config cfg;
-  cfg.seed = seed;
-  if (name == "ic3-down") {
-    cfg.gen_mode = ic3::GenMode::kDown;
-  } else if (name == "ic3-down-pl") {
-    cfg.gen_mode = ic3::GenMode::kDown;
-    cfg.predict_lemmas = true;
-  } else if (name == "ic3-ctg") {
-    cfg.gen_mode = ic3::GenMode::kCtg;
-  } else if (name == "ic3-ctg-pl") {
-    cfg.gen_mode = ic3::GenMode::kCtg;
-    cfg.predict_lemmas = true;
-  } else if (name == "ic3-cav23") {
-    cfg.gen_mode = ic3::GenMode::kCav23;
-  } else if (name == "ic3-dyn") {
-    // SuYC25: start from prediction and switch strategies mid-run on
-    // observed success rates (ic3/gen_dynamic.hpp).
-    cfg.gen_spec = "dynamic";
-  } else if (name == "pdr") {
-    cfg.apply_profile(ic3::Profile::kPdr);
-  } else {
+  // Each IC3 registry name is one generalization recipe (SuYC24 Table 1);
+  // ic3-dyn is SuYC25's mid-run switching between them.
+  static const std::map<std::string, std::string> kSpecs{
+      {"ic3-down", "down"},   {"ic3-down-pl", "predict:down"},
+      {"ic3-ctg", "ctg"},     {"ic3-ctg-pl", "predict:ctg"},
+      {"ic3-cav23", "cav23"}, {"ic3-dyn", "dynamic"},
+      {"pdr", "down"},
+  };
+  const auto it = kSpecs.find(name);
+  if (it == kSpecs.end()) {
     throw std::invalid_argument("ic3_config_for: '" + name +
                                 "' is not an IC3-family engine");
   }
+  ic3::Config cfg;
+  cfg.seed = seed;
+  cfg.gen_spec = it->second;
+  // PDR'11 lifted predecessors by ternary simulation.
+  if (name == "pdr") cfg.lift_mode = ic3::Config::LiftMode::kTernary;
   return cfg;
 }
 

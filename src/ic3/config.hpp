@@ -1,10 +1,11 @@
 /// \file config.hpp
 /// IC3 engine configuration.
 ///
-/// The six experiment configurations of the paper map onto these knobs
-/// (docs/ARCHITECTURE.md, "Experiment configurations"): the `-pl` variants
-/// set `predict_lemmas = true`, the IC3ref/RIC3 baselines differ in
-/// `gen_mode`, and ABC-PDR is approximated by the kPdr profile.
+/// One field, `gen_spec`, names the generalization recipe of every
+/// experiment configuration of the paper (docs/ARCHITECTURE.md,
+/// "Experiment configurations"): RIC3 is "down", IC3ref is "ctg", their
+/// `-pl` variants put the prediction in front ("predict:down",
+/// "predict:ctg"), and ABC-PDR is "down" with ternary lifting.
 #pragma once
 
 #include <cstdint>
@@ -20,38 +21,11 @@ namespace pilot::ic3 {
 
 class LemmaBus;  // ic3/lemma_bus.hpp — portfolio lemma-exchange endpoint
 
-/// Inductive generalization strategy.
-enum class GenMode {
-  kDown,   // plain literal dropping (paper Algorithm 1) — "RIC3" baseline
-  kCtg,    // ctgDown [Hassan et al., FMCAD'13] — "IC3ref" baseline
-  kCav23,  // kDown with parent-lemma literal ordering [Xia et al., CAV'23]
-};
-
-/// Named engine profiles.
-enum class Profile {
-  kIc3,  // defaults below
-  kPdr,  // Een–Mishchenko-style: no CTGs, aggressive propagation
-};
-
 struct Config {
-  GenMode gen_mode = GenMode::kCtg;
-
-  /// The paper's contribution: predict lemmas from counterexamples to
-  /// propagation before dropping variables (Algorithm 2).
-  bool predict_lemmas = false;
-
-  /// Generalization-strategy registry spec ("down", "ctg", "cav23",
-  /// "predict", "dynamic[:window,threshold]", or any registered name; see
-  /// gen_strategy.hpp).  Empty = derive from gen_mode / predict_lemmas, so
-  /// existing configurations keep their meaning.
-  std::string gen_spec;
-
-  /// `dynamic` strategy defaults (overridable per-spec via
-  /// "dynamic:window,threshold"): evaluate the active strategy over its
-  /// last `dynamic_window` generalizations and switch away when the
-  /// windowed success rate drops below `dynamic_threshold`.
-  int dynamic_window = 16;
-  double dynamic_threshold = 0.4;
+  /// Generalization-strategy registry spec: "down", "ctg", "cav23",
+  /// "predict[:down|ctg|cav23]", "dynamic[:window,threshold]", or any
+  /// registered name (gen_strategy.hpp).
+  std::string gen_spec = "ctg";
 
   /// Portfolio lemma exchange (non-owning; engine/lemma_exchange.hpp):
   /// when set, the engine publishes installed lemmas and imports peers'
@@ -82,24 +56,12 @@ struct Config {
   /// counterexample (paper line 27).  Ablation knob.
   bool predict_refine_diff = true;
 
-  // --- generalization tuning ---
-  int ctg_max_depth = 1;  // recursion depth of ctgDown
-  int ctg_max_ctgs = 3;   // CTGs blocked per down() before joining
-
   // --- engine behaviour ---
   /// Predecessor lifting strategy: SAT final-conflict cores (default, as in
-  /// modern IC3 implementations), ternary simulation (the original PDR
-  /// approach of Een–Mishchenko), or none (full model cubes).
-  enum class LiftMode { kSat, kTernary, kNone };
+  /// modern IC3 implementations) or ternary simulation (the original PDR
+  /// approach of Een–Mishchenko).
+  enum class LiftMode { kSat, kTernary };
   LiftMode lift_mode = LiftMode::kSat;
-  /// Ternary-simulation backend for the ternary lifter: the bit-packed
-  /// two-plane simulator (32 assignments per word, batched candidate
-  /// triage + event-driven confirmation; default) or the byte-wise
-  /// reference simulator, which only the lifter's differential tests
-  /// select.  Both produce bit-identical lifted cubes.
-  enum class LiftSim { kPacked, kByte };
-  LiftSim lift_sim = LiftSim::kPacked;
-  bool reenqueue_obligations = true;
   /// Rebuild the main solver (and the lifter's) after this many retired
   /// temporary activation variables.  The temporary clauses themselves are
   /// detached after their query; a rebuild only reclaims the retired
@@ -114,30 +76,6 @@ struct Config {
   bool sat_trail_reuse = true;
 
   std::uint64_t seed = 0;
-
-  /// Applies a named profile on top of the defaults.
-  void apply_profile(Profile p) {
-    if (p == Profile::kPdr) {
-      gen_mode = GenMode::kDown;
-      ctg_max_depth = 0;
-      ctg_max_ctgs = 0;
-      reenqueue_obligations = true;
-      lift_mode = LiftMode::kTernary;  // PDR'11 used ternary simulation
-    }
-  }
-
-  /// The strategy-registry spec this configuration resolves to: gen_spec
-  /// verbatim when set, otherwise derived from the legacy knobs.
-  [[nodiscard]] std::string resolved_gen_spec() const {
-    if (!gen_spec.empty()) return gen_spec;
-    if (predict_lemmas) return "predict";
-    switch (gen_mode) {
-      case GenMode::kDown: return "down";
-      case GenMode::kCav23: return "cav23";
-      case GenMode::kCtg: break;
-    }
-    return "ctg";
-  }
 };
 
 /// A validated engine-settings patch: the one way a caller changes engine

@@ -174,7 +174,7 @@ bool Engine::block(int root_index, const Deadline& deadline) {
 
     // Already blocked by an existing lemma?
     if (frames_.subsumed_at(ob.cube, ob.level)) {
-      if (cfg_.reenqueue_obligations && ob.level < frames_.top_level()) {
+      if (ob.level < frames_.top_level()) {
         ++ob.level;
         queue_.insert(QueueKey{ob.level, ob.depth, idx});
       }
@@ -208,7 +208,7 @@ bool Engine::block(int root_index, const Deadline& deadline) {
       }
       add_lemma(lemma, j);
       ++stats_.num_blocked_cubes;
-      if (cfg_.reenqueue_obligations && j < frames_.top_level()) {
+      if (j < frames_.top_level()) {
         ob.level = j + 1;
         queue_.insert(QueueKey{ob.level, ob.depth, idx});
       }

@@ -1,11 +1,11 @@
 /// \file engine.hpp
 /// The IC3 model checking engine (Algorithm 1 of the paper, queue-based),
-/// with the blue-line extensions of Algorithm 2 enabled by
-/// Config::predict_lemmas.
+/// with the blue-line extensions of Algorithm 2 enabled by a "predict"
+/// generalization strategy (Config::gen_spec).
 ///
 /// Usage:
 ///   auto ts = ts::TransitionSystem::from_aig(aig);
-///   ic3::Config cfg; cfg.predict_lemmas = true;
+///   ic3::Config cfg; cfg.gen_spec = "predict:ctg";
 ///   ic3::Engine engine(ts, cfg);
 ///   ic3::Result r = engine.check(Deadline::in_seconds(10));
 ///

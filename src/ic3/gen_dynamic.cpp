@@ -1,6 +1,5 @@
 #include "ic3/gen_dynamic.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace pilot::ic3 {
@@ -14,6 +13,11 @@ const std::vector<std::string>& candidate_order() {
                                                "down"};
   return kOrder;
 }
+
+/// Defaults of "dynamic[:window[,threshold]]": judge the active strategy
+/// over its last 16 generalizations against a 40% success bar.
+constexpr std::size_t kDefaultWindow = 16;
+constexpr double kDefaultThreshold = 0.4;
 
 }  // namespace
 
@@ -57,13 +61,9 @@ DynamicArgs parse_dynamic_args(const std::string& args) {
 DynamicStrategy::DynamicStrategy(const GenContext& ctx,
                                  const std::string& args)
     : ctx_(ctx) {
-  window_ = static_cast<std::size_t>(
-      ctx.cfg.dynamic_window > 0 ? ctx.cfg.dynamic_window : 16);
-  window_ = std::min(window_, GenStrategyStats::kGenWindowCapacity);
-  threshold_ = ctx.cfg.dynamic_threshold;
   const DynamicArgs parsed = parse_dynamic_args(args);
-  if (parsed.window.has_value()) window_ = *parsed.window;
-  if (parsed.threshold.has_value()) threshold_ = *parsed.threshold;
+  window_ = parsed.window.value_or(kDefaultWindow);
+  threshold_ = parsed.threshold.value_or(kDefaultThreshold);
   for (const std::string& name : candidate_order()) {
     candidates_.push_back(make_gen_strategy(name, ctx));
   }

@@ -13,8 +13,8 @@
 /// best windowed success rate among the rest.
 ///
 /// Spec: "dynamic[:window[,threshold]]" — e.g. "dynamic:8,0.5" evaluates
-/// over the last 8 generalizations against a 50% success bar.  Defaults
-/// come from Config::dynamic_window / dynamic_threshold.
+/// over the last 8 generalizations against a 50% success bar.  The
+/// defaults are a window of 16 and a threshold of 0.4.
 #pragma once
 
 #include <memory>
@@ -26,7 +26,7 @@
 
 namespace pilot::ic3 {
 
-/// Parsed ":args" of a dynamic spec; unset fields fall back to Config.
+/// Parsed ":args" of a dynamic spec; unset fields take the defaults.
 struct DynamicArgs {
   std::optional<std::size_t> window;
   std::optional<double> threshold;
@@ -41,7 +41,7 @@ struct DynamicArgs {
 class DynamicStrategy final : public GenStrategy {
  public:
   /// Builds the candidate pool ("predict", "ctg", "cav23", "down") over
-  /// `ctx` and applies `args` on top of the Config defaults.
+  /// `ctx` and applies `args` on top of the defaults.
   DynamicStrategy(const GenContext& ctx, const std::string& args);
 
   [[nodiscard]] const std::string& name() const override;
@@ -72,8 +72,8 @@ class DynamicStrategy final : public GenStrategy {
   const GenContext ctx_;
   std::vector<std::unique_ptr<GenStrategy>> candidates_;
   std::size_t active_ = 0;
-  std::size_t window_ = 16;
-  double threshold_ = 0.4;
+  std::size_t window_;
+  double threshold_;
   /// Active strategy's lifetime attempt count at the moment it became
   /// active; the policy waits for `window_` *fresh* samples before judging
   /// so a stale window cannot trigger an immediate re-switch.

@@ -1,9 +1,11 @@
 #include "ic3/gen_strategy.hpp"
 
 #include <algorithm>
+#include <array>
 #include <map>
 #include <mutex>
 #include <stdexcept>
+#include <string_view>
 #include <unordered_set>
 #include <utility>
 
@@ -17,13 +19,31 @@ namespace {
 
 // ----- fixed strategies ------------------------------------------------------
 
+/// The drop loop a fixed strategy runs.
+enum class DropMode {
+  kDown,   // plain literal dropping (paper Algorithm 1) — "RIC3" baseline
+  kCtg,    // ctgDown [Hassan et al., FMCAD'13] — "IC3ref" baseline
+  kCav23,  // kDown with parent-lemma literal ordering [Xia et al., CAV'23]
+};
+
+/// The fixed strategies' registry names; `predict` takes one of them as its
+/// fallback.
+constexpr std::array<std::pair<std::string_view, DropMode>, 3> kDropLoops{{
+    {"down", DropMode::kDown},
+    {"ctg", DropMode::kCtg},
+    {"cav23", DropMode::kCav23},
+}};
+
+/// ctgDown limits: recursion depth, and CTGs blocked per down() before
+/// joining.
+constexpr int kCtgMaxDepth = 1;
+constexpr std::size_t kCtgMaxCtgs = 3;
+
 /// The three drop-loop strategies share one MIC implementation and differ
-/// in literal ordering (cav23) and CTG handling (ctg); the mode is the
-/// strategy's own, NOT Config::gen_mode, so `--set gen=cav23` works on any
-/// engine configuration.
+/// in literal ordering (cav23) and CTG handling (ctg).
 class FixedStrategy final : public GenStrategy {
  public:
-  FixedStrategy(const GenContext& ctx, std::string name, GenMode mode)
+  FixedStrategy(const GenContext& ctx, std::string name, DropMode mode)
       : ctx_(ctx), name_(std::move(name)), mode_(mode) {}
 
   [[nodiscard]] const std::string& name() const override { return name_; }
@@ -39,7 +59,7 @@ class FixedStrategy final : public GenStrategy {
   [[nodiscard]] std::vector<Lit> order_literals(const Cube& cube,
                                                 std::size_t level) const {
     std::vector<Lit> order(cube.begin(), cube.end());
-    if (mode_ != GenMode::kCav23 || level == 0) return order;
+    if (mode_ != DropMode::kCav23 || level == 0) return order;
     // CAV'23 ordering: literals that do NOT occur in any parent lemma of
     // the previous frame are dropped first, so the surviving clause looks
     // like a parent lemma and is more likely to propagate.
@@ -63,7 +83,7 @@ class FixedStrategy final : public GenStrategy {
       if (!cube.contains(l)) continue;  // removed by an earlier core shrink
       Cube cand = cube.without(l);
       if (ctx_.ts.cube_intersects_init(cand.lits())) continue;
-      if (mode_ == GenMode::kCtg) {
+      if (mode_ == DropMode::kCtg) {
         if (ctg_down(cand, level, depth, deadline, add_lemma)) {
           cube = cand;
           ++ctx_.stats.num_mic_drops;
@@ -98,8 +118,7 @@ class FixedStrategy final : public GenStrategy {
       // The relative-induction query failed: extract the CTG predecessor.
       const Cube ctg_full = ctx_.solvers.model_state(/*primed=*/false);
       const bool may_block_ctg =
-          depth < ctx_.cfg.ctg_max_depth &&
-          ctgs < static_cast<std::size_t>(ctx_.cfg.ctg_max_ctgs) &&
+          depth < kCtgMaxDepth && ctgs < kCtgMaxCtgs &&
           level > 1 && !ctx_.ts.cube_intersects_init(ctg_full.lits());
       if (may_block_ctg) {
         Cube ctg_core;
@@ -138,20 +157,34 @@ class FixedStrategy final : public GenStrategy {
 
   const GenContext ctx_;
   const std::string name_;
-  const GenMode mode_;
+  const DropMode mode_;
 };
 
 // ----- the DAC'24 prediction strategy ----------------------------------------
 
+/// The fallback drop loop of "predict[:args]": args names a fixed
+/// strategy, and bare "predict" falls back to ctgDown.  Throws
+/// std::invalid_argument for any other args.
+DropMode predict_fallback(const std::string& args) {
+  if (args.empty()) return DropMode::kCtg;
+  for (const auto& [name, mode] : kDropLoops) {
+    if (args == name) return mode;
+  }
+  std::string msg = "gen strategy 'predict' falls back to down, ctg or cav23 "
+                    "(got ':" + args + "'); registered strategies:";
+  for (const std::string& name : gen_strategy_names()) msg += " " + name;
+  throw std::invalid_argument(msg);
+}
+
 /// Prediction in front of a fallback drop loop: try to predict the lemma
 /// from a failed-push parent (Algorithm 2); only when no candidate
-/// validates does the drop loop selected by Config::gen_mode run.
+/// validates does the fallback drop loop run.
 class PredictStrategy final : public GenStrategy {
  public:
-  explicit PredictStrategy(const GenContext& ctx)
+  PredictStrategy(const GenContext& ctx, DropMode fallback)
       : ctx_(ctx),
         predictor_(ctx.solvers, ctx.frames, ctx.cfg, ctx.stats),
-        fallback_(ctx, "predict-fallback", ctx.cfg.gen_mode) {}
+        fallback_(ctx, "predict-fallback", fallback) {}
 
   [[nodiscard]] const std::string& name() const override {
     static const std::string kName = "predict";
@@ -243,26 +276,26 @@ class GenRegistry {
 
  private:
   GenRegistry() {
-    auto fixed = [](std::string name, GenMode mode) {
-      return std::make_pair(
-          name, RegistryEntry{[name, mode](const GenContext& ctx,
-                                           const std::string& args) {
+    for (const auto& [view, mode] : kDropLoops) {
+      const std::string name(view);
+      entries_.emplace(
+          name, RegistryEntry{[name, mode = mode](const GenContext& ctx,
+                                                  const std::string& args) {
                                 require_no_args(name, args);
                                 return std::make_unique<FixedStrategy>(
                                     ctx, name, mode);
                               },
                               nullptr});
-    };
-    entries_.insert(fixed("down", GenMode::kDown));
-    entries_.insert(fixed("ctg", GenMode::kCtg));
-    entries_.insert(fixed("cav23", GenMode::kCav23));
+    }
     entries_.emplace(
         "predict",
         RegistryEntry{[](const GenContext& ctx, const std::string& args) {
-                        require_no_args("predict", args);
-                        return std::make_unique<PredictStrategy>(ctx);
+                        return std::make_unique<PredictStrategy>(
+                            ctx, predict_fallback(args));
                       },
-                      nullptr});
+                      [](const std::string& args) {
+                        (void)predict_fallback(args);
+                      }});
     entries_.emplace(
         "dynamic",
         RegistryEntry{

@@ -11,14 +11,16 @@
 ///  * "cav23"   — down with the parent-lemma literal ordering of
 ///                [Xia et al., CAV'23]
 ///  * "predict" — the DAC'24 prediction mechanism (Algorithm 2) in front of
-///                the drop loop selected by Config::gen_mode
+///                a fallback drop loop: "predict:down" (RIC3-pl),
+///                "predict:ctg" (IC3ref-pl; bare "predict") or
+///                "predict:cav23"
 ///  * "dynamic" — the SuYC25 meta-strategy (gen_dynamic.hpp): observes the
 ///                others' success rates in sliding windows and switches at
 ///                propagation boundaries
 ///
 /// Strategies are selected by Config::gen_spec ("name" or "name:args",
-/// e.g. "dynamic:16,0.4"); an empty spec derives the strategy from the
-/// legacy Config::gen_mode / predict_lemmas knobs.  `register_gen_strategy`
+/// e.g. "predict:down", "dynamic:16,0.4"), the one strategy field of an
+/// engine configuration.  `register_gen_strategy`
 /// plugs in new strategies without touching the engine; the engine itself
 /// (engine.cpp) contains no strategy-specific branching — it drives the
 /// active strategy through the Generalizer facade and its hooks.

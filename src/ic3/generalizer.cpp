@@ -8,7 +8,7 @@ Generalizer::Generalizer(const ts::TransitionSystem& ts,
                          SolverManager& solvers, Frames& frames,
                          const Config& cfg, Ic3Stats& stats)
     : stats_(stats),
-      strategy_(make_gen_strategy(cfg.resolved_gen_spec(),
+      strategy_(make_gen_strategy(cfg.gen_spec,
                                   GenContext{ts, solvers, frames, cfg,
                                              stats})) {}
 

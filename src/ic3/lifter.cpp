@@ -14,14 +14,8 @@ Lifter::Lifter(const ts::TransitionSystem& ts, const Config& cfg,
     solver_ = std::make_unique<sat::Solver>();
     solver_->set_seed(cfg.seed);
     ts_.install(*solver_);
-  } else if (cfg_.lift_mode == Config::LiftMode::kTernary) {
-    if (cfg_.lift_sim == Config::LiftSim::kPacked) {
-      packed_ = std::make_unique<aig::PackedTernarySimulator>(ts_.aig());
-    } else {
-      ternary_ = std::make_unique<aig::TernarySimulator>(ts_.aig());
-      latch_values_.resize(ts_.num_latches());
-      input_values_.resize(ts_.num_inputs());
-    }
+  } else {
+    packed_ = std::make_unique<aig::PackedTernarySimulator>(ts_.aig());
   }
 }
 
@@ -47,64 +41,8 @@ Cube Lifter::core_projection(const Cube& full) const {
 
 // ----- ternary lifting -------------------------------------------------------
 
-aig::TV Lifter::sim_value(aig::AigLit lit, std::size_t lane) const {
-  return packed_ ? packed_->value(lit, lane) : ternary_->value(lit);
-}
-
 Cube Lifter::ternary_lift(const Cube& full, const std::vector<Lit>& inputs,
                           const TargetFn& target_definite) {
-  return packed_ ? ternary_lift_packed(full, inputs, target_definite)
-                 : ternary_lift_byte(full, inputs, target_definite);
-}
-
-Cube Lifter::ternary_lift_byte(const Cube& full, const std::vector<Lit>& inputs,
-                               const TargetFn& target_definite) {
-  // Seed the simulator frame: latches from `full`, inputs from `inputs`,
-  // everything else X.
-  std::fill(latch_values_.begin(), latch_values_.end(), aig::TV::kX);
-  std::fill(input_values_.begin(), input_values_.end(), aig::TV::kX);
-  for (const Lit l : full) {
-    const int idx = ts_.latch_index_of(l.var());
-    if (idx >= 0) {
-      latch_values_[static_cast<std::size_t>(idx)] =
-          l.sign() ? aig::TV::kZero : aig::TV::kOne;
-    }
-  }
-  for (const Lit l : inputs) {
-    for (std::size_t i = 0; i < ts_.num_inputs(); ++i) {
-      if (ts_.input_var(i) == l.var()) {
-        input_values_[i] = l.sign() ? aig::TV::kZero : aig::TV::kOne;
-        break;
-      }
-    }
-  }
-  ternary_->compute(latch_values_, input_values_);
-  if (!target_definite(0)) return full;  // partial model: nothing provable
-
-  // Drop latches one at a time, keeping the X when the target stays
-  // definite — one full sweep per latch; the packed backend below is the
-  // production path.
-  std::vector<Lit> kept;
-  std::vector<Lit> order(full.begin(), full.end());
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    const Lit l = order[i];
-    const int idx = ts_.latch_index_of(l.var());
-    if (idx < 0) continue;
-    const aig::TV saved = latch_values_[static_cast<std::size_t>(idx)];
-    latch_values_[static_cast<std::size_t>(idx)] = aig::TV::kX;
-    ternary_->compute(latch_values_, input_values_);
-    if (!target_definite(0)) {
-      latch_values_[static_cast<std::size_t>(idx)] = saved;  // must keep
-      kept.push_back(l);
-    }
-  }
-  if (kept.empty()) return full;  // defensive
-  return Cube::from_sorted(std::move(kept));
-}
-
-Cube Lifter::ternary_lift_packed(const Cube& full,
-                                 const std::vector<Lit>& inputs,
-                                 const TargetFn& target_definite) {
   constexpr std::size_t kLanes = aig::PackedTernarySimulator::kLanes;
   aig::PackedTernarySimulator& sim = *packed_;
   // Seed every lane with the full frame: latches from `full`, inputs from
@@ -171,9 +109,9 @@ Cube Lifter::ternary_lift_packed(const Cube& full,
 
   // Phase 2 — sequential confirmation of the plausible candidates, in cube
   // order, against the live frame (accepted X's accumulate): X out one
-  // latch at a time, re-evaluating only its fanout cone.  This preserves
-  // the certified-assignment invariant of the byte-wise loop, so both
-  // backends produce identical cubes.
+  // latch at a time, re-evaluating only its fanout cone.  The result equals
+  // the one-full-sweep-per-latch loop over aig::TernarySimulator (the
+  // reference in test_lifter).
   for (const std::size_t c : plausible) {
     sim.trial_set_latch(cands[c].idx, aig::TV::kX);
     if (target_definite(0)) {
@@ -197,13 +135,13 @@ Cube Lifter::ternary_lift_predecessor(const Cube& pred_full,
                                       const Cube& successor) {
   auto target_definite = [&](std::size_t lane) {
     for (const aig::AigLit c : ts_.aig().constraints()) {
-      if (sim_value(c, lane) != aig::TV::kOne) return false;
+      if (packed_->value(c, lane) != aig::TV::kOne) return false;
     }
     for (const Lit l : successor) {
       const int idx = ts_.latch_index_of(l.var());
       const std::uint32_t latch_node =
           ts_.aig().latches()[static_cast<std::size_t>(idx)];
-      const aig::TV v = sim_value(ts_.aig().next(latch_node), lane);
+      const aig::TV v = packed_->value(ts_.aig().next(latch_node), lane);
       const aig::TV want = l.sign() ? aig::TV::kZero : aig::TV::kOne;
       if (v != want) return false;
     }
@@ -219,7 +157,7 @@ Cube Lifter::ternary_lift_bad(const Cube& state_full,
     // constraints at TransitionSystem construction, so bad == 1 (definite)
     // already forces every constraint definite-true.
     const Lit bad = ts_.bad();
-    const aig::TV v = sim_value(
+    const aig::TV v = packed_->value(
         aig::AigLit::make(static_cast<std::uint32_t>(bad.var()), bad.sign()),
         lane);
     return v == aig::TV::kOne;
@@ -234,13 +172,8 @@ Cube Lifter::lift_predecessor(const Cube& pred_full,
                               const Cube& successor,
                               const Deadline& deadline) {
   obs::PhaseScope phase(&stats_.phases, obs::Phase::kLift);
-  switch (cfg_.lift_mode) {
-    case Config::LiftMode::kNone:
-      return pred_full;
-    case Config::LiftMode::kTernary:
-      return ternary_lift_predecessor(pred_full, inputs, successor);
-    case Config::LiftMode::kSat:
-      break;
+  if (cfg_.lift_mode == Config::LiftMode::kTernary) {
+    return ternary_lift_predecessor(pred_full, inputs, successor);
   }
   maybe_rebuild();
   std::vector<Lit> clause;
@@ -267,13 +200,8 @@ Cube Lifter::lift_predecessor(const Cube& pred_full,
 Cube Lifter::lift_bad(const Cube& state_full, const std::vector<Lit>& inputs,
                       const Deadline& deadline) {
   obs::PhaseScope phase(&stats_.phases, obs::Phase::kLift);
-  switch (cfg_.lift_mode) {
-    case Config::LiftMode::kNone:
-      return state_full;
-    case Config::LiftMode::kTernary:
-      return ternary_lift_bad(state_full, inputs);
-    case Config::LiftMode::kSat:
-      break;
+  if (cfg_.lift_mode == Config::LiftMode::kTernary) {
+    return ternary_lift_bad(state_full, inputs);
   }
   maybe_rebuild();
   std::vector<Lit> assumptions;

@@ -11,14 +11,13 @@
 /// matching values on the successor cube (and keeps the constraints and —
 /// for bad lifting — the bad signal definite).  No solver involved.
 ///
-/// Two ternary backends (Config::lift_sim) produce bit-identical cubes:
-///  * kByte   — the reference TernarySimulator, one full sweep per latch.
-///  * kPacked — PackedTernarySimulator: one batched sweep triages 32
-///    X-out candidates at once against the original assignment (a
-///    candidate whose target goes X there can never be dropped later,
-///    because ternary simulation is monotone in X), then the survivors are
-///    confirmed one at a time with event-driven re-evaluation of only the
-///    affected fanout cone.
+/// Ternary lifting runs on PackedTernarySimulator: one batched sweep
+/// triages 32 X-out candidates at once against the original assignment (a
+/// candidate whose target goes X there can never be dropped later, because
+/// ternary simulation is monotone in X), then the survivors are confirmed
+/// one at a time with event-driven re-evaluation of only the affected
+/// fanout cone.  The cubes equal those of one full TernarySimulator sweep
+/// per latch, the reference test_lifter checks against.
 #pragma once
 
 #include <functional>
@@ -52,21 +51,14 @@ class Lifter {
  private:
   /// Judges one simulated frame: true when the lifting target (successor
   /// cube / bad signal, plus the invariant constraints) is still definite.
-  /// The lane selects a pattern of the packed simulator; the byte
-  /// simulator ignores it.
+  /// The lane selects a pattern of the packed simulator.
   using TargetFn = std::function<bool(std::size_t lane)>;
 
   void maybe_rebuild();
   Cube core_projection(const Cube& full) const;
-  /// Value of `lit` on the active ternary backend.
-  [[nodiscard]] aig::TV sim_value(aig::AigLit lit, std::size_t lane) const;
-  /// Shared ternary-lifting entry; dispatches on the active backend.
+  /// Shared ternary-lifting entry.
   Cube ternary_lift(const Cube& full, const std::vector<Lit>& inputs,
                     const TargetFn& target_definite);
-  Cube ternary_lift_byte(const Cube& full, const std::vector<Lit>& inputs,
-                         const TargetFn& target_definite);
-  Cube ternary_lift_packed(const Cube& full, const std::vector<Lit>& inputs,
-                           const TargetFn& target_definite);
   Cube ternary_lift_predecessor(const Cube& pred_full,
                                 const std::vector<Lit>& inputs,
                                 const Cube& successor);
@@ -77,10 +69,7 @@ class Lifter {
   const Config& cfg_;
   Ic3Stats& stats_;
   std::unique_ptr<sat::Solver> solver_;
-  std::unique_ptr<aig::TernarySimulator> ternary_;
   std::unique_ptr<aig::PackedTernarySimulator> packed_;
-  std::vector<aig::TV> latch_values_;
-  std::vector<aig::TV> input_values_;
   std::size_t retired_tmp_ = 0;
 };
 

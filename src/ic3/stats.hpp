@@ -100,7 +100,7 @@ struct Ic3Stats {
   std::uint64_t num_rebuild_subsumed = 0;
 
   /// Node-words (32 packed lanes each) evaluated by the ternary lifter's
-  /// packed simulation (Config::lift_sim).
+  /// packed simulation (Config::LiftMode::kTernary).
   std::uint64_t num_packed_sim_words = 0;
 
   // --- generalization strategies (gen_strategy.hpp) ---

@@ -5,8 +5,10 @@
 
 #include <algorithm>
 #include <memory>
+#include <utility>
 
 #include "cert/certificate.hpp"
+#include "check/checker.hpp"
 #include "circuits/families.hpp"
 #include "engine/backend.hpp"
 #include "ic3/gen_strategy.hpp"
@@ -48,15 +50,22 @@ TEST(BackendRegistry, UnknownNameThrowsListingRegisteredEngines) {
   }
 }
 
+/// Every IC3 registry name but pdr, with the strategy spec it runs.
+const std::vector<std::pair<std::string, std::string>> kIc3Specs{
+    {"ic3-down", "down"},   {"ic3-down-pl", "predict:down"},
+    {"ic3-ctg", "ctg"},     {"ic3-ctg-pl", "predict:ctg"},
+    {"ic3-cav23", "cav23"}, {"ic3-dyn", "dynamic"},
+};
+
 TEST(BackendRegistry, Ic3ConfigForMatchesNames) {
-  EXPECT_EQ(ic3_config_for("ic3-down", 1).gen_mode, ic3::GenMode::kDown);
-  EXPECT_FALSE(ic3_config_for("ic3-down", 1).predict_lemmas);
-  EXPECT_TRUE(ic3_config_for("ic3-down-pl", 1).predict_lemmas);
-  EXPECT_EQ(ic3_config_for("ic3-ctg", 1).gen_mode, ic3::GenMode::kCtg);
-  EXPECT_TRUE(ic3_config_for("ic3-ctg-pl", 1).predict_lemmas);
-  EXPECT_EQ(ic3_config_for("ic3-cav23", 1).gen_mode, ic3::GenMode::kCav23);
-  EXPECT_EQ(ic3_config_for("ic3-dyn", 1).gen_spec, "dynamic");
-  EXPECT_EQ(ic3_config_for("pdr", 1).ctg_max_ctgs, 0);
+  for (const auto& [name, spec] : kIc3Specs) {
+    EXPECT_EQ(ic3_config_for(name, 1).gen_spec, spec) << name;
+    EXPECT_EQ(ic3_config_for(name, 1).lift_mode, ic3::Config::LiftMode::kSat)
+        << name;
+  }
+  EXPECT_EQ(ic3_config_for("pdr", 1).gen_spec, "down");
+  EXPECT_EQ(ic3_config_for("pdr", 1).lift_mode,
+            ic3::Config::LiftMode::kTernary);
   EXPECT_EQ(ic3_config_for("ic3-ctg", 42).seed, 42u);
   EXPECT_THROW((void)ic3_config_for("bmc", 1), std::invalid_argument);
   EXPECT_THROW((void)ic3_config_for("portfolio", 1), std::invalid_argument);
@@ -131,11 +140,21 @@ TEST(ConfigPatch, RejectsBadItemsNamingTheTokenAndTheValidKeys) {
       EXPECT_NE(msg.find(key), std::string::npos) << key << " in " << msg;
     }
   }
-  // A bad strategy lists the registered strategies.
-  const std::string msg = patch_error({"gen=nosuch"});
-  EXPECT_NE(msg.find("gen=nosuch"), std::string::npos) << msg;
-  for (const std::string& name : ic3::gen_strategy_names()) {
-    EXPECT_NE(msg.find(name), std::string::npos) << name << " in " << msg;
+  // A bad strategy lists the registered strategies; predict takes only a
+  // drop loop as its fallback.
+  for (const char* item : {"gen=nosuch", "gen=predict:dynamic",
+                           "gen=predict:predict", "gen=predict:x"}) {
+    const std::string msg = patch_error({item});
+    ASSERT_FALSE(msg.empty()) << item << " was accepted";
+    EXPECT_NE(msg.find(item), std::string::npos) << msg;
+    EXPECT_NE(msg.find("registered strategies:"), std::string::npos) << msg;
+    for (const std::string& name : ic3::gen_strategy_names()) {
+      EXPECT_NE(msg.find(name), std::string::npos) << name << " in " << msg;
+    }
+  }
+  for (const char* item :
+       {"gen=predict:down", "gen=predict:ctg", "gen=predict:cav23"}) {
+    EXPECT_EQ(patch_error({item}), "") << item;
   }
 }
 
@@ -157,12 +176,51 @@ TEST(ConfigPatch, LastValueWinsAndItemsAreCanonical) {
   EXPECT_EQ(p.items(), want);
   EXPECT_EQ(ic3::ConfigPatch::parse(p.items()), p);
 
-  ic3::Config cfg = ic3_config_for("ic3-ctg-pl", 0);
+  ic3::Config cfg = ic3_config_for("pdr", 0);
   p.apply(cfg);
   EXPECT_EQ(cfg.gen_spec, "down");
   EXPECT_EQ(cfg.predict_max_extra_lits, 2);
   EXPECT_FALSE(cfg.predict_refine_diff);
-  EXPECT_TRUE(cfg.predict_lemmas);  // unpatched fields keep the name's
+  // Unpatched fields keep the name's.
+  EXPECT_EQ(cfg.lift_mode, ic3::Config::LiftMode::kTernary);
+}
+
+/// The search-path fingerprint of one check_ts run.
+std::vector<std::uint64_t> work_counts(const ts::TransitionSystem& ts,
+                                       const std::string& engine,
+                                       const std::vector<std::string>& set) {
+  check::CheckOptions opts;
+  opts.engine_spec = engine;
+  opts.patch = ic3::ConfigPatch::parse(set);
+  const check::CheckResult r = check::check_ts(ts, opts);
+  EXPECT_NE(r.verdict, ic3::Verdict::kUnknown) << engine;
+  const ic3::Ic3Stats& s = r.stats;
+  return {s.num_lemmas,
+          s.num_obligations,
+          s.num_ctis,
+          s.num_generalizations,
+          s.num_mic_queries,
+          s.num_prediction_queries,
+          s.num_push_queries,
+          s.sat_solve_calls};
+}
+
+TEST(ConfigPatch, EachEngineNameIsNothingButItsSpec) {
+  // Patching ic3-ctg to a name's spec must retrace the name's search path
+  // exactly: the spec is the whole configuration the name selects.
+  for (const auto& cc :
+       {circuits::token_ring_safe(6), circuits::fifo_unsafe(4, 9)}) {
+    const ts::TransitionSystem ts = make_ts(cc);
+    for (const auto& [name, spec] : kIc3Specs) {
+      EXPECT_EQ(work_counts(ts, name, {}),
+                work_counts(ts, "ic3-ctg", {"gen=" + spec}))
+          << cc.name << ": " << name << " vs gen=" << spec;
+    }
+    // Bare predict falls back to ctgDown.
+    EXPECT_EQ(work_counts(ts, "ic3-ctg", {"gen=predict"}),
+              work_counts(ts, "ic3-ctg", {"gen=predict:ctg"}))
+        << cc.name;
+  }
 }
 
 TEST(ConfigPatch, AblationKeysSetTheirFields) {

@@ -37,26 +37,20 @@ TEST(Checker, PaperConfigurationsMatchTable1Order) {
 
 TEST(Checker, PaperConfigurationsSetTheRightKnobs) {
   using engine::ic3_config_for;
-  const ic3::Config down = ic3_config_for("ic3-down", 1);
-  EXPECT_EQ(down.gen_mode, ic3::GenMode::kDown);
-  EXPECT_FALSE(down.predict_lemmas);
+  // RIC3, RIC3-pl, IC3ref, IC3ref-pl, IC3ref-CAV23.
+  EXPECT_EQ(ic3_config_for("ic3-down", 1).gen_spec, "down");
+  EXPECT_EQ(ic3_config_for("ic3-down-pl", 1).gen_spec, "predict:down");
+  EXPECT_EQ(ic3_config_for("ic3-ctg", 1).gen_spec, "ctg");
+  EXPECT_EQ(ic3_config_for("ic3-ctg-pl", 1).gen_spec, "predict:ctg");
+  EXPECT_EQ(ic3_config_for("ic3-cav23", 1).gen_spec, "cav23");
 
-  const ic3::Config down_pl = ic3_config_for("ic3-down-pl", 1);
-  EXPECT_EQ(down_pl.gen_mode, ic3::GenMode::kDown);
-  EXPECT_TRUE(down_pl.predict_lemmas);
-
-  const ic3::Config ctg_pl = ic3_config_for("ic3-ctg-pl", 1);
-  EXPECT_EQ(ctg_pl.gen_mode, ic3::GenMode::kCtg);
-  EXPECT_TRUE(ctg_pl.predict_lemmas);
-
-  const ic3::Config cav = ic3_config_for("ic3-cav23", 1);
-  EXPECT_EQ(cav.gen_mode, ic3::GenMode::kCav23);
-
+  // ABC-PDR: plain dropping with ternary-simulation lifting; every other
+  // configuration lifts by SAT cores.
   const ic3::Config pdr = ic3_config_for("pdr", 1);
-  EXPECT_EQ(pdr.gen_mode, ic3::GenMode::kDown);
-  EXPECT_EQ(pdr.ctg_max_ctgs, 0);
+  EXPECT_EQ(pdr.gen_spec, "down");
   EXPECT_EQ(pdr.lift_mode, ic3::Config::LiftMode::kTernary);
-
+  EXPECT_EQ(ic3_config_for("ic3-down", 1).lift_mode,
+            ic3::Config::LiftMode::kSat);
 }
 
 TEST(Checker, ResultCarriesVerifiedTrace) {

@@ -162,9 +162,7 @@ TEST(GenStrategyStatsTest, RingWrapsAtCapacity) {
 /// assert the exact switch points.
 TEST(DynamicStrategyPolicy, SwitchesAwayFromFailingStrategyAtBoundary) {
   CtxFixture f;
-  f.cfg.dynamic_window = 4;
-  f.cfg.dynamic_threshold = 0.5;
-  DynamicStrategy dyn(f.ctx(), "");
+  DynamicStrategy dyn(f.ctx(), "4,0.5");
   EXPECT_EQ(dyn.window(), 4u);
   EXPECT_DOUBLE_EQ(dyn.threshold(), 0.5);
   ASSERT_EQ(dyn.candidate_names(),
@@ -204,9 +202,7 @@ TEST(DynamicStrategyPolicy, SwitchesAwayFromFailingStrategyAtBoundary) {
 
 TEST(DynamicStrategyPolicy, ExhaustedExplorationPicksBestWindowedRate) {
   CtxFixture f;
-  f.cfg.dynamic_window = 2;
-  f.cfg.dynamic_threshold = 0.5;
-  DynamicStrategy dyn(f.ctx(), "");
+  DynamicStrategy dyn(f.ctx(), "2,0.5");
   // Mark every candidate as explored with distinct windowed rates.
   f.stats.record_gen_outcome("ctg", false, 1, 0);
   f.stats.record_gen_outcome("ctg", true, 1, 1);   // rate 0.5
@@ -223,9 +219,7 @@ TEST(DynamicStrategyPolicy, ExhaustedExplorationPicksBestWindowedRate) {
 
 TEST(DynamicStrategyPolicy, FreshSampleGateBlocksImmediateReswitch) {
   CtxFixture f;
-  f.cfg.dynamic_window = 2;
-  f.cfg.dynamic_threshold = 0.5;
-  DynamicStrategy dyn(f.ctx(), "");
+  DynamicStrategy dyn(f.ctx(), "2,0.5");
   // Poison every candidate's window, then trigger the first switch.
   for (const std::string& name : dyn.candidate_names()) {
     f.stats.record_gen_outcome(name, false, 1, 0);
@@ -240,13 +234,17 @@ TEST(DynamicStrategyPolicy, FreshSampleGateBlocksImmediateReswitch) {
   EXPECT_EQ(dyn.active_name(), second);
 }
 
-TEST(DynamicStrategyPolicy, SpecArgsOverrideConfigDefaults) {
+TEST(DynamicStrategyPolicy, SpecArgsOverrideTheDefaults) {
   CtxFixture f;
-  f.cfg.dynamic_window = 16;
-  f.cfg.dynamic_threshold = 0.4;
-  DynamicStrategy dyn(f.ctx(), "3,0.9");
-  EXPECT_EQ(dyn.window(), 3u);
-  EXPECT_DOUBLE_EQ(dyn.threshold(), 0.9);
+  const DynamicStrategy bare(f.ctx(), "");
+  EXPECT_EQ(bare.window(), 16u);
+  EXPECT_DOUBLE_EQ(bare.threshold(), 0.4);
+  const DynamicStrategy window_only(f.ctx(), "8");
+  EXPECT_EQ(window_only.window(), 8u);
+  EXPECT_DOUBLE_EQ(window_only.threshold(), 0.4);
+  const DynamicStrategy both(f.ctx(), "3,0.9");
+  EXPECT_EQ(both.window(), 3u);
+  EXPECT_DOUBLE_EQ(both.threshold(), 0.9);
 }
 
 // ----- end-to-end: the dynamic strategy inside the engine --------------------

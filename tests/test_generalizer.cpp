@@ -196,21 +196,5 @@ TEST(Generalizer, MicQueryCountIsBoundedByCubeSizeTimesPasses) {
   EXPECT_LE(f.stats.num_mic_queries - before, core.size());
 }
 
-TEST(Generalizer, LegacyConfigKnobsStillSelectStrategies) {
-  // Empty gen_spec derives the strategy from gen_mode / predict_lemmas so
-  // pre-registry configurations keep their meaning.
-  Config cfg;
-  cfg.gen_mode = GenMode::kDown;
-  EXPECT_EQ(cfg.resolved_gen_spec(), "down");
-  cfg.gen_mode = GenMode::kCtg;
-  EXPECT_EQ(cfg.resolved_gen_spec(), "ctg");
-  cfg.gen_mode = GenMode::kCav23;
-  EXPECT_EQ(cfg.resolved_gen_spec(), "cav23");
-  cfg.predict_lemmas = true;
-  EXPECT_EQ(cfg.resolved_gen_spec(), "predict");
-  cfg.gen_spec = "dynamic";
-  EXPECT_EQ(cfg.resolved_gen_spec(), "dynamic");
-}
-
 }  // namespace
 }  // namespace pilot::ic3

@@ -1,8 +1,11 @@
 /// Lifter tests: both SAT-core and ternary-simulation lifting must produce
 /// cubes whose every completion still reaches the target — verified by an
 /// independent SAT query — and should genuinely shrink cubes with
-/// irrelevant latches.
+/// irrelevant latches.  The packed ternary lift must equal a byte-wise
+/// reference: one full aig::TernarySimulator sweep per latch.
 #include <gtest/gtest.h>
+
+#include <functional>
 
 #include "circuits/builder.hpp"
 #include "circuits/families.hpp"
@@ -16,8 +19,7 @@ namespace {
 /// A circuit where most latches are irrelevant to the property: an 8-bit
 /// free counter plus a 1-bit flag latch; bad = flag & (count == 3).
 struct LiftFixture {
-  explicit LiftFixture(Config::LiftMode mode,
-                       Config::LiftSim sim = Config::LiftSim::kPacked) {
+  explicit LiftFixture(Config::LiftMode mode) {
     aig::Aig a;
     const aig::AigLit set_flag = a.add_input("set");
     const circuits::Word count = circuits::make_latches(a, 8, 0, "count");
@@ -28,7 +30,6 @@ struct LiftFixture {
     ts = std::make_unique<ts::TransitionSystem>(
         ts::TransitionSystem::from_aig(a));
     cfg.lift_mode = mode;
-    cfg.lift_sim = sim;
     lifter = std::make_unique<Lifter>(*ts, cfg, stats);
     solvers = std::make_unique<SolverManager>(*ts, cfg, stats);
     solvers->ensure_level(1);
@@ -92,9 +93,6 @@ TEST_P(LifterModes, PredecessorLiftIsSoundAndShrinks) {
   const Cube lifted = f.lifter->lift_predecessor(pred, inputs, succ, {});
   EXPECT_TRUE(lifted.subset_of(pred));
   EXPECT_TRUE(f.lift_is_valid(lifted, inputs, succ)) << lifted.to_string();
-  if (GetParam() == Config::LiftMode::kNone) {
-    EXPECT_EQ(lifted, pred);
-  }
 }
 
 TEST_P(LifterModes, BadLiftDropsIrrelevantLatches) {
@@ -104,12 +102,9 @@ TEST_P(LifterModes, BadLiftDropsIrrelevantLatches) {
   const std::vector<Lit> inputs{Lit::make(f.ts->input_var(0), true)};
   const Cube lifted = f.lifter->lift_bad(state, inputs, {});
   EXPECT_TRUE(lifted.subset_of(state));
-  if (GetParam() != Config::LiftMode::kNone) {
-    // All 9 latches matter here (count==3 needs all count bits + flag)...
-    // so instead check on a state where bad is *not* raised via count:
-    // nothing shrinks below what keeps bad provable.
-    EXPECT_EQ(lifted.size(), 9u);
-  }
+  // All 9 latches matter here (count==3 needs all count bits + flag):
+  // nothing shrinks below what keeps bad provable.
+  EXPECT_EQ(lifted.size(), 9u);
 }
 
 TEST_P(LifterModes, SuccessorTargetWithFewLiterals) {
@@ -122,31 +117,23 @@ TEST_P(LifterModes, SuccessorTargetWithFewLiterals) {
   const std::vector<Lit> inputs{Lit::make(f.ts->input_var(0), true)};
   const Cube lifted = f.lifter->lift_predecessor(pred, inputs, succ, {});
   EXPECT_TRUE(f.lift_is_valid(lifted, inputs, succ));
-  if (GetParam() != Config::LiftMode::kNone) {
-    EXPECT_LE(lifted.size(), 1u) << lifted.to_string();
-    EXPECT_TRUE(lifted.contains(Lit::make(f.ts->state_var(8))));
-  }
+  EXPECT_LE(lifted.size(), 1u) << lifted.to_string();
+  EXPECT_TRUE(lifted.contains(Lit::make(f.ts->state_var(8))));
 }
 
 INSTANTIATE_TEST_SUITE_P(Modes, LifterModes,
                          ::testing::Values(Config::LiftMode::kSat,
-                                           Config::LiftMode::kTernary,
-                                           Config::LiftMode::kNone),
+                                           Config::LiftMode::kTernary),
                          [](const auto& info) {
-                           switch (info.param) {
-                             case Config::LiftMode::kSat: return "sat";
-                             case Config::LiftMode::kTernary:
-                               return "ternary";
-                             default: return "none";
-                           }
+                           return info.param == Config::LiftMode::kSat
+                                      ? "sat"
+                                      : "ternary";
                          });
 
-// ----- ternary backend parity ------------------------------------------------
+// ----- ternary lifting against the byte-wise reference ----------------------
 
-class LifterSimBackends : public ::testing::TestWithParam<Config::LiftSim> {};
-
-TEST_P(LifterSimBackends, PredecessorLiftsAreSoundAndNeverGrow) {
-  LiftFixture f(Config::LiftMode::kTernary, GetParam());
+TEST(TernaryLift, PredecessorLiftsAreSoundAndNeverGrow) {
+  LiftFixture f(Config::LiftMode::kTernary);
   for (std::uint64_t count = 0; count < 8; ++count) {
     for (const bool flag : {false, true}) {
       const Cube pred = f.full_state(count, flag);
@@ -162,8 +149,8 @@ TEST_P(LifterSimBackends, PredecessorLiftsAreSoundAndNeverGrow) {
   }
 }
 
-TEST_P(LifterSimBackends, BadLiftsAreIndependentlyValidated) {
-  LiftFixture f(Config::LiftMode::kTernary, GetParam());
+TEST(TernaryLift, BadLiftsAreIndependentlyValidated) {
+  LiftFixture f(Config::LiftMode::kTernary);
   // (count=3, flag=1) raises bad; the lift may only shrink the cube and
   // every completion of the result must still raise bad.
   const Cube state = f.full_state(3, true);
@@ -174,38 +161,84 @@ TEST_P(LifterSimBackends, BadLiftsAreIndependentlyValidated) {
   EXPECT_TRUE(f.bad_lift_is_valid(lifted, inputs)) << lifted.to_string();
 }
 
-INSTANTIATE_TEST_SUITE_P(Sims, LifterSimBackends,
-                         ::testing::Values(Config::LiftSim::kPacked,
-                                           Config::LiftSim::kByte),
-                         [](const auto& info) {
-                           return info.param == Config::LiftSim::kPacked
-                                      ? "packed"
-                                      : "byte";
-                         });
+/// The byte-wise reference lift: seed latches from `full` and inputs from
+/// `inputs` (everything else X), then X out one latch at a time, one full
+/// TernarySimulator sweep per latch, keeping the X while `target_definite`
+/// holds.
+Cube reference_lift(
+    const ts::TransitionSystem& ts, const Cube& full,
+    const std::vector<Lit>& inputs,
+    const std::function<bool(const aig::TernarySimulator&)>& target_definite) {
+  auto tv = [](Lit l) { return l.sign() ? aig::TV::kZero : aig::TV::kOne; };
+  aig::TernarySimulator sim(ts.aig());
+  std::vector<aig::TV> latches(ts.num_latches(), aig::TV::kX);
+  std::vector<aig::TV> in(ts.num_inputs(), aig::TV::kX);
+  for (const Lit l : full) {
+    latches[static_cast<std::size_t>(ts.latch_index_of(l.var()))] = tv(l);
+  }
+  for (const Lit l : inputs) {
+    for (std::size_t i = 0; i < ts.num_inputs(); ++i) {
+      if (ts.input_var(i) == l.var()) in[i] = tv(l);
+    }
+  }
+  sim.compute(latches, in);
+  if (!target_definite(sim)) return full;
+  std::vector<Lit> kept;
+  for (const Lit l : full) {
+    const auto idx = static_cast<std::size_t>(ts.latch_index_of(l.var()));
+    latches[idx] = aig::TV::kX;
+    sim.compute(latches, in);
+    if (!target_definite(sim)) {
+      latches[idx] = tv(l);  // must keep
+      kept.push_back(l);
+    }
+  }
+  if (kept.empty()) return full;
+  return Cube::from_sorted(std::move(kept));
+}
 
 TEST(Lifter, PackedAndByteProduceIdenticalCubes) {
-  // The packed backend is a performance rewrite, not a semantic variant:
-  // its triage + sequential-confirmation schedule is proven to track the
-  // byte-wise loop exactly, so the lifted cubes must be *equal*, not
-  // merely both sound.
-  LiftFixture packed(Config::LiftMode::kTernary, Config::LiftSim::kPacked);
-  LiftFixture byte(Config::LiftMode::kTernary, Config::LiftSim::kByte);
+  // The packed lift is a performance rewrite of the byte-wise reference,
+  // not a semantic variant: its triage + sequential-confirmation schedule
+  // tracks the one-sweep-per-latch loop exactly, so the lifted cubes must
+  // be *equal*, not merely both sound.
+  LiftFixture packed(Config::LiftMode::kTernary);
+  const ts::TransitionSystem& ts = *packed.ts;
+  auto reaches = [&](const Cube& succ) {
+    return [&ts, succ](const aig::TernarySimulator& sim) {
+      for (const aig::AigLit c : ts.aig().constraints()) {
+        if (sim.value(c) != aig::TV::kOne) return false;
+      }
+      for (const Lit l : succ) {
+        const std::uint32_t latch_node =
+            ts.aig().latches()[static_cast<std::size_t>(
+                ts.latch_index_of(l.var()))];
+        const aig::TV want = l.sign() ? aig::TV::kZero : aig::TV::kOne;
+        if (sim.value(ts.aig().next(latch_node)) != want) return false;
+      }
+      return true;
+    };
+  };
+  auto raises_bad = [&ts](const aig::TernarySimulator& sim) {
+    const Lit bad = ts.bad();
+    return sim.value(aig::AigLit::make(static_cast<std::uint32_t>(bad.var()),
+                                       bad.sign())) == aig::TV::kOne;
+  };
   for (std::uint64_t count = 0; count < 16; ++count) {
     for (const bool flag : {false, true}) {
       const Cube pred = packed.full_state(count, flag);
       const Cube succ_full = packed.full_state((count + 1) & 0xFF, flag);
       const Cube succ_flag =
-          Cube::from_lits({Lit::make(packed.ts->state_var(8), !flag)});
-      const std::vector<Lit> inputs{
-          Lit::make(packed.ts->input_var(0), !flag)};
+          Cube::from_lits({Lit::make(ts.state_var(8), !flag)});
+      const std::vector<Lit> inputs{Lit::make(ts.input_var(0), !flag)};
       for (const Cube& succ : {succ_full, succ_flag}) {
         const Cube a = packed.lifter->lift_predecessor(pred, inputs, succ, {});
-        const Cube b = byte.lifter->lift_predecessor(pred, inputs, succ, {});
+        const Cube b = reference_lift(ts, pred, inputs, reaches(succ));
         EXPECT_EQ(a, b) << "count=" << count << " flag=" << flag << " pred "
                         << a.to_string() << " vs " << b.to_string();
       }
       const Cube a = packed.lifter->lift_bad(pred, inputs, {});
-      const Cube b = byte.lifter->lift_bad(pred, inputs, {});
+      const Cube b = reference_lift(ts, pred, inputs, raises_bad);
       EXPECT_EQ(a, b) << "count=" << count << " flag=" << flag << " bad "
                       << a.to_string() << " vs " << b.to_string();
     }
@@ -215,27 +248,24 @@ TEST(Lifter, PackedAndByteProduceIdenticalCubes) {
 TEST(Lifter, TernaryRespectsConstraints) {
   // Constrained shift register: the input is forced low; lifting a
   // predecessor must keep enough literals that the constraint evaluation
-  // stays definite-true — on both ternary backends.
+  // stays definite-true.
   const auto cc = circuits::shift_register(4, true);
   const ts::TransitionSystem ts = ts::TransitionSystem::from_aig(cc.aig);
-  for (const auto sim : {Config::LiftSim::kPacked, Config::LiftSim::kByte}) {
-    Config cfg;
-    cfg.lift_mode = Config::LiftMode::kTernary;
-    cfg.lift_sim = sim;
-    Ic3Stats stats;
-    Lifter lifter(ts, cfg, stats);
-    // Predecessor: all stages 0; successor: all stages 0; input 0.
-    std::vector<Lit> state_lits;
-    for (std::size_t i = 0; i < ts.num_latches(); ++i) {
-      state_lits.push_back(Lit::make(ts.state_var(i), true));
-    }
-    const Cube pred = Cube::from_lits(state_lits);
-    const Cube succ = pred;
-    const std::vector<Lit> inputs{Lit::make(ts.input_var(0), true)};
-    const Cube lifted = lifter.lift_predecessor(pred, inputs, succ, {});
-    EXPECT_TRUE(lifted.subset_of(pred));
-    EXPECT_FALSE(lifted.empty());
+  Config cfg;
+  cfg.lift_mode = Config::LiftMode::kTernary;
+  Ic3Stats stats;
+  Lifter lifter(ts, cfg, stats);
+  // Predecessor: all stages 0; successor: all stages 0; input 0.
+  std::vector<Lit> state_lits;
+  for (std::size_t i = 0; i < ts.num_latches(); ++i) {
+    state_lits.push_back(Lit::make(ts.state_var(i), true));
   }
+  const Cube pred = Cube::from_lits(state_lits);
+  const Cube succ = pred;
+  const std::vector<Lit> inputs{Lit::make(ts.input_var(0), true)};
+  const Cube lifted = lifter.lift_predecessor(pred, inputs, succ, {});
+  EXPECT_TRUE(lifted.subset_of(pred));
+  EXPECT_FALSE(lifted.empty());
 }
 
 }  // namespace

@@ -185,7 +185,7 @@ TEST_F(TraceIdentity, EngineTrajectoryIsIdenticalTracingOnVsOff) {
       obs::reset_trace();
       obs::set_trace_enabled(traced);
       ic3::Config cfg;
-      cfg.predict_lemmas = true;
+      cfg.gen_spec = "predict";
       ic3::Engine engine(ts, cfg);
       const ic3::Result r = engine.check(Deadline::in_seconds(120));
       obs::set_trace_enabled(false);

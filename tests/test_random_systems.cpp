@@ -59,9 +59,8 @@ TEST_P(RandomSystems, Ic3AgreesWithBmcAndCertificatesHold) {
 
     // IC3 (alternate baseline/prediction by round for coverage).
     ic3::Config cfg;
-    cfg.predict_lemmas = (round % 2) == 0;
-    cfg.gen_mode = (round % 3) == 0 ? ic3::GenMode::kCtg
-                                    : ic3::GenMode::kDown;
+    const std::string drop = (round % 3) == 0 ? "ctg" : "down";
+    cfg.gen_spec = (round % 2) == 0 ? "predict:" + drop : drop;
     ic3::Engine engine(ts, cfg);
     const ic3::Result r = engine.check(Deadline::in_seconds(10));
     ASSERT_NE(r.verdict, ic3::Verdict::kUnknown)

@@ -29,7 +29,6 @@
 #include "serve/server.hpp"
 #include "serve/verdict_cache.hpp"
 #include "ts/transition_system.hpp"
-#include "util/timer.hpp"
 
 namespace pilot {
 namespace {
@@ -393,10 +392,12 @@ TEST(Advisor, EmptyHistoryAdvisesNothing) {
 // ----- warm-rerun acceptance bar ---------------------------------------------
 
 // A second campaign over the same corpus with a warm cache must serve every
-// case as a revalidated hit, return identical verdicts, and — certificate
-// re-checking being an order of magnitude cheaper than IC3 solving on
-// non-trivial circuits — finish at least 10× faster than the cold run.
-TEST(VerdictCache, WarmRerunAllHitsIdenticalVerdictsTenTimesFaster) {
+// case as a revalidated hit and return identical verdicts without reaching
+// the engine: no SAT solve and no proof obligation, only the one
+// certificate re-check.  Counting work instead of timing it keeps the bar
+// independent of solver speed and sanitizer slowdown; perfbench's
+// serve-mixed workload measures how fast the warm path is.
+TEST(VerdictCache, WarmRerunAllHitsIdenticalVerdictsWithoutEngineWork) {
   std::vector<corpus::Case> cases;
   cases.push_back(corpus::from_circuit(circuits::token_ring_safe(16)));
   cases.push_back(corpus::from_circuit(circuits::token_ring_safe(18)));
@@ -406,35 +407,33 @@ TEST(VerdictCache, WarmRerunAllHitsIdenticalVerdictsTenTimesFaster) {
   VerdictCache cache;
   check::RunMatrixOptions mo;
   mo.budget_ms = 120000;
-  mo.jobs = 1;  // sequential on both sides keeps the timing comparable
+  mo.jobs = 1;
   mo.strict = false;
   mo.cache = &cache;
 
-  Timer cold_timer;
   const std::vector<check::RunRecord> cold =
       check::run_matrix(cases, {"ic3-ctg"}, mo);
-  const double cold_seconds = cold_timer.seconds();
   for (const check::RunRecord& r : cold) {
     EXPECT_EQ(r.cache_status, "miss") << r.case_name;
     EXPECT_TRUE(r.solved) << r.case_name;
+    EXPECT_GT(r.stats.sat_solve_calls, 0u) << r.case_name;
   }
   ASSERT_EQ(cache.size(), cases.size());
 
-  Timer warm_timer;
   const std::vector<check::RunRecord> warm =
       check::run_matrix(cases, {"ic3-ctg"}, mo);
-  const double warm_seconds = warm_timer.seconds();
   ASSERT_EQ(warm.size(), cold.size());
   for (std::size_t i = 0; i < warm.size(); ++i) {
     EXPECT_EQ(warm[i].cache_status, "hit") << warm[i].case_name;
     EXPECT_EQ(warm[i].verdict, cold[i].verdict) << warm[i].case_name;
     EXPECT_EQ(warm[i].frames, cold[i].frames) << warm[i].case_name;
+    EXPECT_EQ(warm[i].stats.sat_solve_calls, 0u) << warm[i].case_name;
+    EXPECT_EQ(warm[i].stats.num_obligations, 0u) << warm[i].case_name;
+    EXPECT_EQ(warm[i].stats.num_cert_checks, 1u) << warm[i].case_name;
   }
   EXPECT_EQ(cache.stats().hits.load(), cases.size());
+  EXPECT_EQ(cache.stats().revalidations.load(), cases.size());
   EXPECT_EQ(cache.stats().revalidation_failures.load(), 0u);
-  EXPECT_LE(warm_seconds * 10.0, cold_seconds)
-      << "warm=" << warm_seconds << "s cold=" << cold_seconds
-      << "s — the warm rerun lost its 10× bar";
 }
 
 // ----- server round trip -----------------------------------------------------

@@ -383,7 +383,7 @@ struct EngineRun {
 
 EngineRun run_engine(const ts::TransitionSystem& ts, bool trail_reuse) {
   Config cfg;
-  cfg.predict_lemmas = true;
+  cfg.gen_spec = "predict";
   cfg.sat_trail_reuse = trail_reuse;
   Engine engine(ts, cfg);
   const Result r = engine.check();

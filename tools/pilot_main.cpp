@@ -471,7 +471,7 @@ int main(int argc, char** argv) {
   for (const std::string& name : ic3::gen_strategy_names()) {
     set_help += " " + name;
   }
-  set_help += " (dynamic[:window,threshold])";
+  set_help += " (predict[:down|ctg|cav23], dynamic[:window,threshold])";
   parser.add_list("set", &set_items, set_help);
   parser.add_string("cache", &cache_path,
                     "JSONL verdict cache keyed by the canonical AIG hash: "
