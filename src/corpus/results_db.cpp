@@ -28,36 +28,11 @@ constexpr std::array<std::string_view, 3> kRetiredKeys = {
 
 json::Value stats_to_json(const ic3::Ic3Stats& s) {
   json::Object o;
-  o["generalizations"] = s.num_generalizations;
-  o["prediction_queries"] = s.num_prediction_queries;
-  o["successful_predictions"] = s.num_successful_predictions;
-  o["found_failed_parents"] = s.num_found_failed_parents;
-  o["lemmas"] = s.num_lemmas;
-  o["obligations"] = s.num_obligations;
-  o["mic_queries"] = s.num_mic_queries;
-  o["push_queries"] = s.num_push_queries;
-  o["push_successes"] = s.num_push_successes;
-  o["push_skipped_by_ctp"] = s.num_push_skipped_by_ctp;
-  o["push_ctp_revalidations"] = s.num_push_ctp_revalidations;
+  ic3::for_each_counter(s, [&](const char*, const char* key,
+                               std::uint64_t value) { o[key] = value; });
   o["max_frame"] = s.max_frame;
-  // SAT hot-path counters (PR 4): campaigns quantify the solver-layer
-  // optimizations — total propagation work, trail-reuse savings, binary
-  // watch hits, glue clauses — per (case × engine) row.
-  o["sat_solve_calls"] = s.sat_solve_calls;
-  o["sat_propagations"] = s.sat_propagations;
-  o["sat_conflicts"] = s.sat_conflicts;
-  o["sat_decisions"] = s.sat_decisions;
-  o["sat_db_reductions"] = s.sat_db_reductions;
-  o["sat_trail_reuse_hits"] = s.sat_trail_reuse_hits;
-  o["sat_saved_propagations"] = s.sat_saved_propagations;
-  o["sat_binary_propagations"] = s.sat_binary_propagations;
-  o["sat_glue_learnts"] = s.sat_glue_learnts;
-  o["solver_rebuilds"] = s.num_solver_rebuilds;
-  // Packed ternary-simulation volume of the lifter.
-  o["packed_sim_words"] = s.num_packed_sim_words;
   // Generalization-strategy rows (PR 5): one object per strategy that ran,
-  // sorted by name for stable serialization, plus the dynamic-switch and
-  // portfolio lemma-exchange totals.
+  // sorted by name for stable serialization.
   if (!s.gen_strategies.empty()) {
     std::vector<const ic3::GenStrategyStats*> sorted;
     sorted.reserve(s.gen_strategies.size());
@@ -79,16 +54,6 @@ json::Value stats_to_json(const ic3::Ic3Stats& s) {
     }
     o["gen_strategies"] = std::move(strategies);
   }
-  o["strategy_switches"] = s.num_strategy_switches;
-  o["exchange_published"] = s.num_exchange_published;
-  o["exchange_imported"] = s.num_exchange_imported;
-  o["exchange_rejected"] = s.num_exchange_rejected;
-  o["exchange_skipped"] = s.num_exchange_skipped;
-  // Certification counters (PR 9): how many certificate checks gated this
-  // row's verdict and how many failed (quarantines).
-  o["cert_checks"] = s.num_cert_checks;
-  o["cert_failures"] = s.num_cert_failures;
-  o["rebuild_subsumed"] = s.num_rebuild_subsumed;
   // Timing + per-phase profile: total seconds plus one
   // {"seconds", "calls"} object per phase that actually ran, keyed by the
   // obs::phase_name string so rows stay readable and diffable.
@@ -110,34 +75,16 @@ json::Value stats_to_json(const ic3::Ic3Stats& s) {
 
 ic3::Ic3Stats stats_from_json(const json::Value& v) {
   ic3::Ic3Stats s;
-  s.num_generalizations = v.at("generalizations").as_uint();
-  s.num_prediction_queries = v.at("prediction_queries").as_uint();
-  s.num_successful_predictions = v.at("successful_predictions").as_uint();
-  s.num_found_failed_parents = v.at("found_failed_parents").as_uint();
-  s.num_lemmas = v.at("lemmas").as_uint();
-  s.num_obligations = v.at("obligations").as_uint();
-  s.num_mic_queries = v.at("mic_queries").as_uint();
-  s.num_push_queries = v.at("push_queries").as_uint();
+  // A key absent from the row (written before its counter existed) loads
+  // as 0: at() returns a null Value whose as_uint() falls back to 0.  Keys
+  // of counters this build no longer has are never looked up.
+  ic3::for_each_counter(s, [&](const char*, const char* key,
+                               std::uint64_t& field) {
+    field = v.at(key).as_uint();
+  });
   s.max_frame = v.at("max_frame").as_uint();
-  // Absent in rows written before the SAT-layer counters existed; at()
-  // returns a null Value whose as_uint() falls back to 0.  The same holds
-  // for the push counters below, which rows before the CTP cache lack.
-  s.num_push_successes = v.at("push_successes").as_uint();
-  s.num_push_skipped_by_ctp = v.at("push_skipped_by_ctp").as_uint();
-  s.num_push_ctp_revalidations = v.at("push_ctp_revalidations").as_uint();
-  s.sat_solve_calls = v.at("sat_solve_calls").as_uint();
-  s.sat_propagations = v.at("sat_propagations").as_uint();
-  s.sat_conflicts = v.at("sat_conflicts").as_uint();
-  s.sat_decisions = v.at("sat_decisions").as_uint();
-  s.sat_db_reductions = v.at("sat_db_reductions").as_uint();
-  s.sat_trail_reuse_hits = v.at("sat_trail_reuse_hits").as_uint();
-  s.sat_saved_propagations = v.at("sat_saved_propagations").as_uint();
-  s.sat_binary_propagations = v.at("sat_binary_propagations").as_uint();
-  s.sat_glue_learnts = v.at("sat_glue_learnts").as_uint();
-  s.num_solver_rebuilds = v.at("solver_rebuilds").as_uint();
-  s.num_packed_sim_words = v.at("packed_sim_words").as_uint();
-  // Strategy / exchange fields (PR 5): absent in older rows — at() returns
-  // null and the as_* fallbacks keep everything 0 / empty.
+  // Strategy rows (PR 5): absent in older rows — at() returns null and the
+  // as_* fallbacks keep everything 0 / empty.
   if (v.at("gen_strategies").is_array()) {
     for (const json::Value& row : v.at("gen_strategies").as_array()) {
       const std::string name = row.at("name").as_string();
@@ -150,15 +97,6 @@ ic3::Ic3Stats stats_from_json(const json::Value& v) {
       g.switches = row.at("switches").as_uint();
     }
   }
-  s.num_strategy_switches = v.at("strategy_switches").as_uint();
-  s.num_exchange_published = v.at("exchange_published").as_uint();
-  s.num_exchange_imported = v.at("exchange_imported").as_uint();
-  s.num_exchange_rejected = v.at("exchange_rejected").as_uint();
-  s.num_exchange_skipped = v.at("exchange_skipped").as_uint();
-  // Certification fields (PR 9): absent in older rows — null/0 fallback.
-  s.num_cert_checks = v.at("cert_checks").as_uint();
-  s.num_cert_failures = v.at("cert_failures").as_uint();
-  s.num_rebuild_subsumed = v.at("rebuild_subsumed").as_uint();
   // Timing + phases (PR 8): absent in older rows — the same null/0
   // fallback applies, and phase names a future build no longer knows are
   // skipped rather than rejected.

@@ -11,6 +11,9 @@
 ///    "corpus":"bench/hwmcc17","commit":"abc123",
 ///    "timestamp":"2026-07-28T12:00:00Z","error":"","stats":{...}}
 ///
+/// "stats" is stats_to_json() of the run's ic3::Ic3Stats: one key per
+/// counter-table row, the same keys `pilot --stats` prints.
+///
 /// Append-only JSONL makes concurrent campaigns safe to interleave at line
 /// granularity and keeps the file mergeable with `cat`; load() + merge()
 /// resolve duplicates by (case, engine) key, last row wins — so re-running
@@ -68,8 +71,11 @@ struct RunRow {
 
 /// The engine-statistics object embedded in every row's "stats" field —
 /// public so `pilot --stats-json` can emit the identical shape for a single
-/// run.  Includes per-phase wall time ("phases": name → {seconds, calls},
-/// nonzero phases only) and time_total.  stats_from_json is tolerant:
+/// run.  It holds one key per row of the counter tables (ic3::Ic3Stats:
+/// "<name>" for PILOT_IC3_COUNTERS, "sat_<name>" for PILOT_SAT_COUNTERS),
+/// the same keys `pilot --stats` prints, plus max_frame, the per-strategy
+/// "gen_strategies" rows, per-phase wall time ("phases": name → {seconds,
+/// calls}, nonzero phases only) and time_total.  stats_from_json is tolerant:
 /// fields absent in rows written by older builds load as 0/empty, fields of
 /// counters this build no longer has are ignored, and unknown phase names
 /// are skipped, so existing baselines never need regeneration.

@@ -80,6 +80,7 @@ class BmcBackend final : public Backend {
       out.frames = static_cast<std::size_t>(r.counterexample_length);
       out.trace = std::move(r.trace);
     }
+    out.stats.max_frame = out.frames;
     return out;  // bound reached / unknown → kUnknown (BMC cannot prove)
   }
 
@@ -111,6 +112,7 @@ class KinductionBackend final : public Backend {
     out.stats.time_total = r.seconds;
     out.interrupted = r.verdict == bmc::KindVerdict::kUnknown;
     if (r.k >= 0) out.frames = static_cast<std::size_t>(r.k);
+    out.stats.max_frame = out.frames;
     if (r.verdict == bmc::KindVerdict::kSafe) {
       out.verdict = ic3::Verdict::kSafe;
       out.kind_k = r.k;

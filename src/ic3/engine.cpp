@@ -18,11 +18,9 @@ Engine::Engine(const ts::TransitionSystem& ts, Config cfg)
       generalizer_(ts_, solvers_, frames_, cfg_, stats_) {}
 
 void Engine::add_lemma(const Cube& cube, std::size_t level) {
-  std::size_t removed = 0;
-  if (frames_.add_lemma(cube, level, &removed)) {
+  if (frames_.add_lemma(cube, level)) {
     solvers_.add_lemma_clause(cube, level);
     ++stats_.num_lemmas;
-    stats_.num_subsumed_lemmas += removed;
     if (cfg_.lemma_bus != nullptr && !importing_) {
       cfg_.lemma_bus->publish(cube, level);
       ++stats_.num_exchange_published;
@@ -207,7 +205,6 @@ bool Engine::block(int root_index, const Deadline& deadline) {
         ++j;
       }
       add_lemma(lemma, j);
-      ++stats_.num_blocked_cubes;
       if (j < frames_.top_level()) {
         ob.level = j + 1;
         queue_.insert(QueueKey{ob.level, ob.depth, idx});

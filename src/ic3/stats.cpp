@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <string_view>
 
 namespace pilot::ic3 {
 
@@ -79,62 +80,36 @@ void Ic3Stats::record_gen_outcome(const std::string& name, bool success,
 
 std::string Ic3Stats::summary() const {
   std::ostringstream oss;
-  oss << "frames=" << max_frame << " lemmas=" << num_lemmas
-      << " obligations=" << num_obligations << " ctis=" << num_ctis
-      << " generalizations=" << num_generalizations
-      << " mic_queries=" << num_mic_queries << " drops=" << num_mic_drops;
-  if (num_push_queries > 0 || num_push_ctp_revalidations > 0) {
-    oss << " | push: queries=" << num_push_queries
-        << " successes=" << num_push_successes
-        << " ctp_skips=" << num_push_skipped_by_ctp
-        << " ctp_revalidations=" << num_push_ctp_revalidations;
-  }
-  if (num_prediction_queries > 0 || num_found_failed_parents > 0) {
-    oss << " | predict: N_p=" << num_prediction_queries
-        << " N_sp=" << num_successful_predictions
-        << " N_fp=" << num_found_failed_parents
-        << " SR_lp=" << sr_lp() << " SR_fp=" << sr_fp()
-        << " SR_adv=" << sr_adv();
-  }
-  if (num_packed_sim_words > 0) {
-    oss << " | ternary: packed_words=" << num_packed_sim_words;
-  }
+  oss << "frames=" << max_frame;
+  std::string_view group;
+  std::ostringstream row;
+  bool nonzero = false;
+  const auto flush_group = [&] {
+    if (nonzero) {
+      oss << " | " << group << ":" << row.str();
+      if (group == "predict") {
+        oss << " SR_lp=" << sr_lp() << " SR_fp=" << sr_fp()
+            << " SR_adv=" << sr_adv();
+      }
+    }
+    row.str("");
+    nonzero = false;
+  };
+  for_each_counter(*this, [&](std::string_view g, std::string_view key,
+                               std::uint64_t value) {
+    if (g != group) {
+      flush_group();
+      group = g;
+    }
+    row << ' ' << key << '=' << value;
+    nonzero = nonzero || value != 0;
+  });
+  flush_group();
   for (const GenStrategyStats& s : gen_strategies) {
     oss << " | gen[" << s.name << "]: attempts=" << s.attempts
         << " successes=" << s.successes << " queries=" << s.queries
         << " avg_dropped=" << s.avg_dropped();
     if (s.switches > 0) oss << " switches=" << s.switches;
-  }
-  if (num_strategy_switches > 0) {
-    oss << " | dynamic: switches=" << num_strategy_switches;
-  }
-  if (num_exchange_published > 0 || num_exchange_imported > 0 ||
-      num_exchange_rejected > 0 || num_exchange_skipped > 0) {
-    oss << " | exchange: published=" << num_exchange_published
-        << " imported=" << num_exchange_imported
-        << " rejected=" << num_exchange_rejected
-        << " skipped=" << num_exchange_skipped;
-  }
-  if (num_cert_checks > 0) {
-    oss << " | cert: checks=" << num_cert_checks
-        << " failures=" << num_cert_failures;
-  }
-  if (sat_solve_calls > 0) {
-    oss << " | sat: calls=" << sat_solve_calls
-        << " props=" << sat_propagations
-        << " conflicts=" << sat_conflicts
-        << " reuse_hits=" << sat_trail_reuse_hits
-        << " saved_props=" << sat_saved_propagations
-        << " bin_props=" << sat_binary_propagations
-        << " glue=" << sat_glue_learnts
-        << " reductions=" << sat_db_reductions
-        << " rebuilds=" << num_solver_rebuilds;
-    if (num_rebuild_carried_phases > 0) {
-      oss << " carried_vars=" << num_rebuild_carried_phases;
-    }
-    if (num_rebuild_subsumed > 0) {
-      oss << " rebuild_skips=" << num_rebuild_subsumed;
-    }
   }
   return oss.str();
 }

@@ -1,6 +1,10 @@
 /// \file stats.hpp
-/// IC3 run statistics, including the success-rate counters defined in §4.3
-/// of the paper:
+/// IC3 run statistics.  Every counter is one row of PILOT_IC3_COUNTERS (or,
+/// for the SAT layer, of PILOT_SAT_COUNTERS in sat/solver.hpp); the row
+/// declares the field, and the serializer, loader and `pilot --stats` line
+/// all iterate the tables, so adding a counter means adding one row.
+///
+/// The success-rate counters of §4.3 of the paper are rows too:
 ///   N_g  — total generalizations            (num_generalizations)
 ///   N_p  — prediction SAT queries           (num_prediction_queries)
 ///   N_sp — successful lemma predictions     (num_successful_predictions)
@@ -67,48 +71,62 @@ struct GenStrategyStats {
   }
 };
 
+/// The IC3 counters, one row `X(group, name)` each.  A row declares
+/// `std::uint64_t num_<name>`, whose JSON key is "<name>"; `pilot --stats`
+/// prints it as `<name>=<value>` under its group, so keep a group's rows
+/// together.  Comments on rows must be /* */: a // comment would swallow
+/// the rows after it.
+#define PILOT_IC3_COUNTERS(X)                                                 \
+  X(core, lemmas)                                                             \
+  X(core, obligations)                                                        \
+  X(core, ctis)                     /* counterexamples to induction */        \
+  X(core, generalizations)          /* N_g */                                 \
+  X(core, mic_queries)              /* SAT queries spent dropping literals */ \
+  X(core, mic_drops)                /* literals successfully dropped */       \
+  X(core, ctg_blocked)              /* CTGs blocked by ctgDown */             \
+  X(push, push_queries)             /* propagation push solves issued */      \
+  X(push, push_successes)                                                     \
+  X(push, push_skipped_by_ctp)      /* CTP still held: solve skipped */       \
+  X(push, push_ctp_revalidations)   /* cached CTPs re-checked */              \
+  X(predict, prediction_queries)    /* N_p */                                 \
+  X(predict, successful_predictions) /* N_sp */                               \
+  X(predict, found_failed_parents)  /* N_fp */                                \
+  X(lift, packed_sim_words)         /* 32-lane words the lifter simulated */  \
+  X(dynamic, strategy_switches)     /* SuYC25 mid-run switches */             \
+  X(exchange, exchange_published)   /* lemmas offered to peers */             \
+  X(exchange, exchange_imported)    /* peer lemmas validated, installed */    \
+  X(exchange, exchange_rejected)    /* failed the validation query */         \
+  X(exchange, exchange_skipped)     /* already subsumed locally */            \
+  X(cert, cert_checks)              /* certificates checked */                \
+  X(cert, cert_failures)            /* each quarantines a verdict */          \
+  X(rebuild, solver_rebuilds)                                                 \
+  X(rebuild, rebuild_carried_phases) /* vars whose phase/activity carried */  \
+  X(rebuild, rebuild_subsumed)      /* lemmas the defensive sweep skipped */
+
 struct Ic3Stats {
-  // --- paper §4.3 counters ---
-  std::uint64_t num_generalizations = 0;        // N_g
-  std::uint64_t num_prediction_queries = 0;     // N_p
-  std::uint64_t num_successful_predictions = 0; // N_sp
-  std::uint64_t num_found_failed_parents = 0;   // N_fp
+#define PILOT_IC3_FIELD(group, name) std::uint64_t num_##name = 0;
+  PILOT_IC3_COUNTERS(PILOT_IC3_FIELD)
+#undef PILOT_IC3_FIELD
 
-  // --- engine counters ---
-  std::uint64_t num_obligations = 0;
-  std::uint64_t num_lemmas = 0;
-  std::uint64_t num_blocked_cubes = 0;
-  std::uint64_t num_ctis = 0;
-  std::uint64_t num_mic_queries = 0;       // SAT queries spent dropping vars
-  std::uint64_t num_mic_drops = 0;         // literals successfully dropped
-  std::uint64_t num_push_queries = 0;     // propagation push solves issued
-  std::uint64_t num_push_successes = 0;
-  /// Propagation pushes whose cached CTP was checked against the lemmas
-  /// installed since it was found, and those it still refuted, so the
-  /// solve was skipped (not counted in num_push_queries).
-  std::uint64_t num_push_ctp_revalidations = 0;
-  std::uint64_t num_push_skipped_by_ctp = 0;
-  std::uint64_t num_ctg_blocked = 0;
-  std::uint64_t num_solver_rebuilds = 0;
-  std::uint64_t num_subsumed_lemmas = 0;
-  /// Variables whose saved phase/activity were carried into a fresh solver
-  /// by SolverManager::rebuild.
-  std::uint64_t num_rebuild_carried_phases = 0;
-  /// Frame lemmas skipped by the cross-level dedup/subsume sweep in
-  /// SolverManager::rebuild (defensive: Frames maintains the invariant, so
-  /// nonzero values flag an upstream bug — and the rebuild stays sound).
-  std::uint64_t num_rebuild_subsumed = 0;
+  /// SAT-layer mirrors `sat_<name>` of sat::SolverStats.
+#define PILOT_SAT_MIRROR(name) std::uint64_t sat_##name = 0;
+  PILOT_SAT_COUNTERS(PILOT_SAT_MIRROR)
+#undef PILOT_SAT_MIRROR
 
-  /// Node-words (32 packed lanes each) evaluated by the ternary lifter's
-  /// packed simulation (Config::LiftMode::kTernary).
-  std::uint64_t num_packed_sim_words = 0;
+  /// Copies the SAT-layer aggregate into the mirror counters above.
+  /// Idempotent (each field is assigned, not accumulated), so the engine
+  /// calls it at every progress/trace boundary as well as the check()
+  /// epilogue — live heartbeats and mid-run traces see real SAT counters.
+  void absorb_sat(const sat::SolverStats& s) {
+#define PILOT_SAT_ABSORB(name) sat_##name = s.name;
+    PILOT_SAT_COUNTERS(PILOT_SAT_ABSORB)
+#undef PILOT_SAT_ABSORB
+  }
 
   // --- generalization strategies (gen_strategy.hpp) ---
   /// One entry per strategy that performed ≥ 1 generalization this run,
   /// in first-use order.
   std::vector<GenStrategyStats> gen_strategies;
-  /// Mid-run strategy switches by the "dynamic" meta-strategy (SuYC25).
-  std::uint64_t num_strategy_switches = 0;
 
   /// Find-or-create the per-strategy entry.
   GenStrategyStats& gen_strategy(const std::string& name);
@@ -117,50 +135,6 @@ struct Ic3Stats {
   /// Folds one generalization outcome into `name`'s totals and window.
   void record_gen_outcome(const std::string& name, bool success,
                           std::uint64_t queries, std::uint64_t dropped);
-
-  // --- portfolio lemma exchange (engine/lemma_exchange.hpp) ---
-  std::uint64_t num_exchange_published = 0;  // lemmas offered to peers
-  std::uint64_t num_exchange_imported = 0;   // peer lemmas validated+installed
-  std::uint64_t num_exchange_rejected = 0;   // failed the validation query
-  std::uint64_t num_exchange_skipped = 0;    // already subsumed locally
-
-  // --- verdict certification (cert/certificate.hpp) ---
-  /// Certificates checked against this result (portfolio winner gating,
-  /// --certify, pilot-bench --certify).
-  std::uint64_t num_cert_checks = 0;
-  /// Certificate checks that failed — each one quarantines a backend's
-  /// verdict in the portfolio instead of accepting it.
-  std::uint64_t num_cert_failures = 0;
-
-  // --- SAT layer (absorbed from sat::SolverStats at the end of a run) ---
-  std::uint64_t sat_solve_calls = 0;
-  std::uint64_t sat_propagations = 0;
-  std::uint64_t sat_conflicts = 0;
-  std::uint64_t sat_decisions = 0;
-  /// solve() calls that reused ≥ 1 assumption decision level.
-  std::uint64_t sat_trail_reuse_hits = 0;
-  /// Trail literals whose re-propagation trail reuse skipped.
-  std::uint64_t sat_saved_propagations = 0;
-  /// Implications served by the implicit binary watch lists.
-  std::uint64_t sat_binary_propagations = 0;
-  /// Learnt clauses with LBD ≤ 2 (glue).
-  std::uint64_t sat_glue_learnts = 0;
-  std::uint64_t sat_db_reductions = 0;
-  /// Copies the SAT-layer aggregate into the mirror counters above.
-  /// Idempotent (each field is assigned, not accumulated), so the engine
-  /// calls it at every progress/trace boundary as well as the check()
-  /// epilogue — live heartbeats and mid-run traces see real SAT counters.
-  void absorb_sat(const sat::SolverStats& s) {
-    sat_solve_calls = s.solve_calls;
-    sat_propagations = s.propagations;
-    sat_conflicts = s.conflicts;
-    sat_decisions = s.decisions;
-    sat_trail_reuse_hits = s.trail_reuse_hits;
-    sat_saved_propagations = s.saved_propagations;
-    sat_binary_propagations = s.binary_propagations;
-    sat_glue_learnts = s.glue_learnts;
-    sat_db_reductions = s.db_reductions;
-  }
 
   // --- timing (seconds) ---
   double time_total = 0.0;
@@ -200,7 +174,24 @@ struct Ic3Stats {
                      static_cast<double>(num_generalizations);
   }
 
+  /// `frames=<max_frame>`, then ` | <group>: <key>=<value> ...` for each
+  /// group with a nonzero counter (the SR rates follow the predict group),
+  /// then one ` | gen[<strategy>]: ...` row per strategy.
   [[nodiscard]] std::string summary() const;
 };
+
+/// Calls fn(group, key, field) for every counter row, in table order: the
+/// PILOT_IC3_COUNTERS rows with key "<name>", then the SAT mirrors as group
+/// "sat" with key "sat_<name>".  The key is the row's JSON key and its
+/// `pilot --stats` label.  `Stats` is Ic3Stats or const Ic3Stats.
+template <typename Stats, typename Fn>
+void for_each_counter(Stats& s, Fn&& fn) {
+#define PILOT_IC3_VISIT(group, name) fn(#group, #name, s.num_##name);
+  PILOT_IC3_COUNTERS(PILOT_IC3_VISIT)
+#undef PILOT_IC3_VISIT
+#define PILOT_SAT_VISIT(name) fn("sat", "sat_" #name, s.sat_##name);
+  PILOT_SAT_COUNTERS(PILOT_SAT_VISIT)
+#undef PILOT_SAT_VISIT
+}
 
 }  // namespace pilot::ic3

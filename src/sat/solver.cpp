@@ -387,10 +387,7 @@ void Solver::analyze(ClauseRef confl, std::vector<Lit>& out_learnt,
       if (c.lbd() > 2) {
         const std::uint32_t fresh =
             compute_lbd(std::span<const Lit>(c.begin(), c.size()));
-        if (fresh < c.lbd()) {
-          c.set_lbd(fresh);
-          ++stats_.lbd_updates;
-        }
+        if (fresh < c.lbd()) c.set_lbd(fresh);
       }
     }
     for (std::uint32_t j = p.is_undef() ? 0 : 1; j < c.size(); ++j) {
@@ -427,8 +424,6 @@ void Solver::analyze(ClauseRef confl, std::vector<Lit>& out_learnt,
       out_learnt[kept++] = out_learnt[i];
     }
   }
-  stats_.learnt_literals += kept;
-  stats_.minimized_literals += out_learnt.size() - kept;
   out_learnt.resize(kept);
 
   // Place a literal of the highest remaining level at index 1 so the learnt
@@ -551,7 +546,6 @@ void Solver::reduce_db() {
       learnts_[j++] = learnts_[i];
     } else if (c.used()) {
       c.set_used(false);
-      ++stats_.protected_learnts;
       learnts_[j++] = learnts_[i];
     } else {
       remove_clause(learnts_[i]);
@@ -591,7 +585,6 @@ void Solver::collect_garbage_if_needed() {
   ClauseArena fresh;
   relocate_all(fresh);
   arena_ = std::move(fresh);
-  ++stats_.gc_runs;
 }
 
 void Solver::relocate_all(ClauseArena& target) {
@@ -754,7 +747,6 @@ SolveResult Solver::solve(std::span<const Lit> assumptions,
     const double rest_base = luby(2.0, curr_restarts);
     status = search(static_cast<std::int64_t>(rest_base * 100.0), deadline,
                     conflicts_start);
-    if (status == SolveResult::kUnknown) ++stats_.restarts;
   }
 
   if (status == SolveResult::kSat) {

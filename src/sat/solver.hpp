@@ -40,54 +40,35 @@
 
 namespace pilot::sat {
 
+/// The SAT counters the layers above read, one row `X(name)` each.  A row
+/// declares the SolverStats member and merges it in operator+=; through
+/// ic3::Ic3Stats it is also mirrored as `sat_<name>`, serialized and loaded
+/// under the JSON key "sat_<name>", and printed by `pilot --stats`.  Comments
+/// on rows must be /* */: a // comment would swallow the rows after it.
+#define PILOT_SAT_COUNTERS(X)                                               \
+  X(solve_calls)                                                            \
+  X(decisions)                                                              \
+  X(propagations)                                                           \
+  X(conflicts)                                                              \
+  X(db_reductions)                                                          \
+  X(trail_reuse_hits)    /* solve() calls reusing >= 1 assumption level */  \
+  X(reused_levels)       /* assumption decision levels reused, in total */  \
+  X(saved_propagations)  /* kept trail literals a fresh solve would redo */ \
+  X(binary_propagations) /* implications from the binary watch lists */     \
+  X(glue_learnts)        /* learnt clauses with LBD <= 2 */
+
 /// Aggregate solver counters, readable at any time.
 struct SolverStats {
-  std::uint64_t decisions = 0;
-  std::uint64_t propagations = 0;
-  std::uint64_t conflicts = 0;
-  std::uint64_t restarts = 0;
-  std::uint64_t learnt_literals = 0;
-  std::uint64_t minimized_literals = 0;
-  std::uint64_t db_reductions = 0;
-  std::uint64_t gc_runs = 0;
-  std::uint64_t solve_calls = 0;
-  // --- IC3-shaped hot-path counters ---
-  /// solve() calls that reused ≥ 1 assumption level from the kept trail.
-  std::uint64_t trail_reuse_hits = 0;
-  /// Total assumption decision levels reused across all solve() calls.
-  std::uint64_t reused_levels = 0;
-  /// Trail literals kept at reuse points: propagations a from-scratch
-  /// solver would have redone.
-  std::uint64_t saved_propagations = 0;
-  /// Implications produced by the implicit binary watch lists.
-  std::uint64_t binary_propagations = 0;
-  /// Learnt clauses with LBD ≤ 2 ("glue" clauses, never reduced away).
-  std::uint64_t glue_learnts = 0;
-  /// LBD improvements on reuse in conflict analysis.
-  std::uint64_t lbd_updates = 0;
-  /// Learnts kept by reduce_db because they were used since the last
-  /// reduction (tier protection).
-  std::uint64_t protected_learnts = 0;
+#define PILOT_SAT_FIELD(name) std::uint64_t name = 0;
+  PILOT_SAT_COUNTERS(PILOT_SAT_FIELD)
+#undef PILOT_SAT_FIELD
 
   /// Accumulates `other` into this (used when a solver is rebuilt and its
   /// counters must survive in the aggregate).
   SolverStats& operator+=(const SolverStats& other) {
-    decisions += other.decisions;
-    propagations += other.propagations;
-    conflicts += other.conflicts;
-    restarts += other.restarts;
-    learnt_literals += other.learnt_literals;
-    minimized_literals += other.minimized_literals;
-    db_reductions += other.db_reductions;
-    gc_runs += other.gc_runs;
-    solve_calls += other.solve_calls;
-    trail_reuse_hits += other.trail_reuse_hits;
-    reused_levels += other.reused_levels;
-    saved_propagations += other.saved_propagations;
-    binary_propagations += other.binary_propagations;
-    glue_learnts += other.glue_learnts;
-    lbd_updates += other.lbd_updates;
-    protected_learnts += other.protected_learnts;
+#define PILOT_SAT_ADD(name) name += other.name;
+    PILOT_SAT_COUNTERS(PILOT_SAT_ADD)
+#undef PILOT_SAT_ADD
     return *this;
   }
 };

@@ -105,6 +105,20 @@ TEST(Backend, EveryBuiltinAnswersBothVerdicts) {
   }
 }
 
+TEST(Backend, UnrollingBackendsReportTheirDepthAsMaxFrame) {
+  // `pilot --stats` and ResultsDb rows read the depth from stats.max_frame,
+  // so it must agree with the result's frames, as it does for IC3.
+  const auto cc = circuits::counter_unsafe(6, 10);
+  const ts::TransitionSystem ts = make_ts(cc);
+  for (const std::string name : {"bmc", "kind"}) {
+    const std::unique_ptr<Backend> b = make_backend(name, ts, {});
+    const EngineResult r = b->check(Deadline::in_seconds(30), nullptr);
+    ASSERT_EQ(r.verdict, ic3::Verdict::kUnsafe) << name;
+    EXPECT_GT(r.frames, 0u) << name;
+    EXPECT_EQ(r.stats.max_frame, r.frames) << name;
+  }
+}
+
 TEST(Backend, ContextOverridesReachIc3Backends) {
   // Engine name says -pl, but the patch selects plain ctg generalization —
   // the stats must show zero prediction queries.

@@ -7,6 +7,7 @@
 /// report.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
 #include <set>
 #include <string>
@@ -20,9 +21,11 @@
 #include "corpus/results_db.hpp"
 #include "engine/portfolio.hpp"
 #include "ic3/engine.hpp"
+#include "ic3/stats.hpp"
 #include "obs/phase.hpp"
 #include "obs/progress.hpp"
 #include "obs/trace.hpp"
+#include "sat/solver.hpp"
 #include "ts/transition_system.hpp"
 #include "util/json.hpp"
 
@@ -310,12 +313,54 @@ TEST(StatsJson, PhasesAndTimesRoundTrip) {
   EXPECT_FALSE(v.at("phases").contains("exchange"));
 }
 
+TEST(StatsJson, EveryCounterRoundTripsAndPrints) {
+  // Every row of both counter tables gets a distinct nonzero value, so a
+  // row that some consumer skips comes back 0 or is missing from the line.
+  ic3::Ic3Stats s;
+  sat::SolverStats a;
+  sat::SolverStats b;
+  std::uint64_t next = 1;
+#define PILOT_TEST_SET_IC3(group, name) s.num_##name = next++;
+  PILOT_IC3_COUNTERS(PILOT_TEST_SET_IC3)
+#undef PILOT_TEST_SET_IC3
+#define PILOT_TEST_SET_SAT(name) \
+  a.name = next++;               \
+  b.name = 1000 * next++;
+  PILOT_SAT_COUNTERS(PILOT_TEST_SET_SAT)
+#undef PILOT_TEST_SET_SAT
+  s.absorb_sat(a);
+  s.max_frame = 7;
+  sat::SolverStats sum = a;
+  sum += b;
+
+  const ic3::Ic3Stats back = corpus::stats_from_json(corpus::stats_to_json(s));
+  const std::string line = s.summary() + " ";
+  EXPECT_EQ(line.rfind("frames=7 ", 0), 0u) << line;
+  EXPECT_EQ(back.max_frame, 7u);
+  const auto printed = [&](const std::string& key, std::uint64_t value) {
+    return line.find(" " + key + "=" + std::to_string(value) + " ") !=
+           std::string::npos;
+  };
+#define PILOT_TEST_CHECK_IC3(group, name)            \
+  EXPECT_EQ(back.num_##name, s.num_##name) << #name; \
+  EXPECT_TRUE(printed(#name, s.num_##name)) << #name << " in " << line;
+  PILOT_IC3_COUNTERS(PILOT_TEST_CHECK_IC3)
+#undef PILOT_TEST_CHECK_IC3
+#define PILOT_TEST_CHECK_SAT(name)                                          \
+  EXPECT_EQ(back.sat_##name, a.name) << #name;                              \
+  EXPECT_TRUE(printed("sat_" #name, a.name)) << #name << " in " << line;    \
+  EXPECT_EQ(sum.name, a.name + b.name) << #name;
+  PILOT_SAT_COUNTERS(PILOT_TEST_CHECK_SAT)
+#undef PILOT_TEST_CHECK_SAT
+}
+
 TEST(StatsJson, LoaderToleratesRowsWithoutPhases) {
   // An old row: no time_total, no "phases" object, and fields of
   // counters this build retired.
   const json::Value v = json::parse(
       R"({"lemmas": 4, "max_frame": 2, "time_generalize": 0.5,)"
-      R"( "filter_checks": 3, "sat_subsumed": 2})");
+      R"( "filter_checks": 3, "sat_subsumed": 2, "restarts": 5,)"
+      R"( "blocked_cubes": 2})");
   const ic3::Ic3Stats s = corpus::stats_from_json(v);
   EXPECT_EQ(s.num_lemmas, 4u);
   EXPECT_DOUBLE_EQ(s.time_total, 0.0);
