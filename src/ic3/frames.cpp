@@ -6,32 +6,20 @@
 
 namespace pilot::ic3 {
 
-bool Frames::add_lemma(const Cube& cube, std::size_t level,
-                       std::size_t* removed_count) {
+bool Frames::add_lemma(const Cube& cube, std::size_t level) {
   ensure_level(level);
   // Skip if an existing lemma at level ≥ `level` subsumes the new one.
   for (std::size_t j = level; j < delta_.size(); ++j) {
     for (const Cube& d : delta_[j]) {
-      if (d.subset_of(cube)) {
-        if (removed_count != nullptr) *removed_count = 0;
-        return false;
-      }
+      if (d.subset_of(cube)) return false;
     }
   }
   // Drop existing lemmas at level ≤ `level` that the new one subsumes.
-  std::size_t removed = 0;
   for (std::size_t j = 1; j <= level; ++j) {
-    auto& bucket = delta_[j];
-    const auto new_end =
-        std::remove_if(bucket.begin(), bucket.end(), [&](const Cube& d) {
-          return cube.subset_of(d);
-        });
-    removed += static_cast<std::size_t>(bucket.end() - new_end);
-    bucket.erase(new_end, bucket.end());
+    std::erase_if(delta_[j], [&](const Cube& d) { return cube.subset_of(d); });
   }
   delta_[level].push_back(cube);
   log_.push_back(LemmaInstall{level, cube, 0});
-  if (removed_count != nullptr) *removed_count = removed;
   return true;
 }
 

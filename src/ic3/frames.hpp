@@ -52,10 +52,8 @@ class Frames {
 
   /// Adds a lemma with top level `level`, maintaining subsumption, and
   /// logs the install.  Returns false (and does nothing) if an existing
-  /// lemma already subsumes it.  `removed_count`, when non-null, receives
-  /// the number of lemmas the new one displaced.
-  bool add_lemma(const Cube& cube, std::size_t level,
-                 std::size_t* removed_count = nullptr);
+  /// lemma already subsumes it.
+  bool add_lemma(const Cube& cube, std::size_t level);
 
   /// Moves lemma `cube` of delta(level) to delta(level + 1), the install of
   /// a successful push, and logs it.  Same result as add_lemma(cube,

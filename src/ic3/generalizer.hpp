@@ -34,13 +34,6 @@ class Generalizer {
   Cube generalize(const Cube& cube, const Cube& core, std::size_t level,
                   const Deadline& deadline, const AddLemmaFn& add_lemma);
 
-  /// Back-compat overload for callers without a separate core (tests):
-  /// the cube doubles as its own core.
-  Cube generalize(const Cube& cube, std::size_t level,
-                  const Deadline& deadline, const AddLemmaFn& add_lemma) {
-    return generalize(cube, cube, level, deadline, add_lemma);
-  }
-
   /// True when the active strategy consumes counterexamples to
   /// propagation — the engine extracts the successor model only then.
   [[nodiscard]] bool wants_push_failures() const {

@@ -1,7 +1,5 @@
 #include "ic3/solver_manager.hpp"
 
-#include <algorithm>
-
 #include "obs/phase.hpp"
 #include "util/log.hpp"
 
@@ -10,13 +8,13 @@ namespace pilot::ic3 {
 SolverManager::SolverManager(const TransitionSystem& ts, const Config& cfg,
                              Ic3Stats& stats)
     : ts_(ts), cfg_(cfg), stats_(stats) {
-  solver_ = std::make_unique<sat::Solver>();
-  solver_->set_seed(cfg_.seed);
-  solver_->set_trail_reuse(cfg_.sat_trail_reuse);
   install_base();
 }
 
 void SolverManager::install_base() {
+  solver_ = std::make_unique<sat::Solver>();
+  solver_->set_seed(cfg_.seed);
+  solver_->set_trail_reuse(cfg_.sat_trail_reuse);
   ts_.install(*solver_);
   act_vars_.clear();
   retired_tmp_ = 0;
@@ -156,107 +154,15 @@ std::vector<Lit> SolverManager::model_inputs() const {
   return lits;
 }
 
-void SolverManager::carry_solver_state(const sat::Solver& old,
-                                       const std::vector<Var>& old_acts) {
-  // Phase saving and VSIDS activities represent everything the retired
-  // solver learned about where the search lives; starting the fresh solver
-  // from them avoids re-warming the heuristics after every rebuild.
-  // Encoding variables keep their indices across rebuilds; activation
-  // literals are mapped level-by-level.  Activities are normalized so the
-  // imported values sit in [0, 1] against the fresh solver's unit bump.
-  const double max_act = old.max_activity();
-  const double scale = max_act > 0.0 ? 1.0 / max_act : 0.0;
-  std::uint64_t carried = 0;
-  const Var encoding_vars = std::min<Var>(
-      static_cast<Var>(ts_.num_encoding_vars()), solver_->num_vars());
-  for (Var v = 0; v < encoding_vars; ++v) {
-    solver_->set_phase(v, old.saved_phase(v));
-    if (scale > 0.0) solver_->set_activity(v, old.activity(v) * scale);
-    ++carried;
-  }
-  for (std::size_t j = 0; j < act_vars_.size() && j < old_acts.size(); ++j) {
-    solver_->set_phase(act_vars_[j], old.saved_phase(old_acts[j]));
-    if (scale > 0.0) {
-      solver_->set_activity(act_vars_[j], old.activity(old_acts[j]) * scale);
-    }
-    ++carried;
-  }
-  stats_.num_rebuild_carried_phases += carried;
-}
-
-std::vector<std::vector<Cube>> reduce_lemma_buckets(
-    std::vector<std::vector<Cube>> buckets, std::uint64_t* skipped) {
-  // Flatten to (cube, level) and process smallest cubes first (ties: higher
-  // level first): every potential subsumer precedes its victims, and of two
-  // equal cubes the higher-level copy — whose clause covers a superset of
-  // the frames — is the one kept.
-  struct Entry {
-    const Cube* cube;
-    std::size_t level;
-  };
-  std::vector<Entry> entries;
-  for (std::size_t j = 0; j < buckets.size(); ++j) {
-    for (const Cube& c : buckets[j]) entries.push_back({&c, j});
-  }
-  std::sort(entries.begin(), entries.end(), [](const Entry& a, const Entry& b) {
-    if (a.cube->size() != b.cube->size()) {
-      return a.cube->size() < b.cube->size();
-    }
-    return a.level > b.level;
-  });
-  std::vector<std::vector<Cube>> kept(buckets.size());
-  std::vector<Entry> accepted;
-  std::uint64_t dropped = 0;
-  for (const Entry& e : entries) {
-    bool subsumed = false;
-    for (const Entry& a : accepted) {
-      // A kept cube at level ≥ e.level whose literals are a subset of e's
-      // makes e redundant: its (stronger) clause is assumed in every frame
-      // that would assume e's.
-      if (a.level >= e.level && a.cube->subset_of(*e.cube)) {
-        subsumed = true;
-        break;
-      }
-    }
-    if (subsumed) {
-      ++dropped;
-      continue;
-    }
-    accepted.push_back(e);
-    kept[e.level].push_back(*e.cube);
-  }
-  if (skipped != nullptr) *skipped += dropped;
-  return kept;
-}
-
 void SolverManager::rebuild(const Frames& frames) {
   obs::PhaseScope phase(&stats_.phases, obs::Phase::kRebuild);
-  const std::size_t levels = act_vars_.size();
-  const std::unique_ptr<sat::Solver> old = std::move(solver_);
-  const std::vector<Var> old_acts = std::move(act_vars_);
-  retired_sat_stats_ += old->stats();
-  solver_ = std::make_unique<sat::Solver>();
-  solver_->set_seed(cfg_.seed);
-  solver_->set_trail_reuse(cfg_.sat_trail_reuse);
+  const std::size_t top = act_vars_.size() - 1;  // install_base made act_0
+  retired_sat_stats_ += solver_->stats();
   install_base();
-  ensure_level(levels == 0 ? 0 : levels - 1);
-  // Sweep the lemma set across levels before re-adding: rebuilds shrink
-  // the CNF instead of replaying install history.
-  std::vector<std::vector<Cube>> buckets(frames.top_level() + 1);
+  ensure_level(top);
   for (std::size_t j = 1; j <= frames.top_level(); ++j) {
-    buckets[j] = frames.delta(j);
+    for (const Cube& c : frames.delta(j)) add_lemma_clause(c, j);
   }
-  buckets = reduce_lemma_buckets(std::move(buckets),
-                                 &stats_.num_rebuild_subsumed);
-  for (std::size_t j = 1; j < buckets.size(); ++j) {
-    ensure_level(j);
-    for (const Cube& c : buckets[j]) {
-      std::vector<Lit> clause = c.negated_lits();
-      clause.push_back(~act(j));
-      solver_->add_clause(clause);
-    }
-  }
-  carry_solver_state(*old, old_acts);
   ++stats_.num_solver_rebuilds;
   PILOT_DEBUG("solver rebuilt; lemmas=" << frames.total_lemmas());
 }

@@ -19,9 +19,8 @@
 /// activation variable that is never decided on, assumed for this one
 /// solve, and detached again right after it, on every outcome.  What a
 /// query leaves behind is its retired activation variable and the learnt
-/// clauses that mention it; once enough have accumulated, the solver is
-/// rebuilt from the frames, carrying saved phases and activities over so
-/// the search heuristics survive.
+/// clauses that mention it; once enough have accumulated, rebuild()
+/// replaces the solver with a fresh one that replays the frames.
 #pragma once
 
 #include <memory>
@@ -77,11 +76,10 @@ class SolverManager {
   /// Input literals from the last SAT model.
   [[nodiscard]] std::vector<Lit> model_inputs() const;
 
-  /// Rebuilds the solver from scratch with the lemmas in `frames`,
-  /// carrying saved phases and activities over.
-  /// The lemma set is dedup/subsume-swept across levels first (see
-  /// reduce_lemma_buckets), so a rebuild shrinks the CNF instead of
-  /// replaying install history.
+  /// Replaces the solver with a fresh one, built as the constructor builds
+  /// it, and replays the frames: delta(j) under act(j) for every j ≥ 1, in
+  /// Frames order.  Nothing else of the retired solver survives but its
+  /// counters (sat_stats()).
   void rebuild(const Frames& frames);
 
   /// Rebuilds once Config::rebuild_tmp_threshold temporary activation
@@ -103,9 +101,9 @@ class SolverManager {
   /// Assumptions activating R_level: act_j for all j ≥ level, in
   /// descending level order (see the file comment on prefix reuse).
   [[nodiscard]] std::vector<Lit> frame_assumptions(std::size_t level) const;
+  /// Creates a fresh solver holding T and the act_0-guarded initial cube;
+  /// the one construction path of the constructor and rebuild().
   void install_base();
-  void carry_solver_state(const sat::Solver& old,
-                          const std::vector<Var>& old_acts);
   Cube shrink_with_core(const Cube& c) const;
   /// Initiation repair for the core shrinker: if `shrunk` touches I,
   /// restore one literal of `full` that contradicts the initial cube.
@@ -123,16 +121,5 @@ class SolverManager {
   // scan per call).
   mutable std::vector<char> core_mark_;
 };
-
-/// Cross-level reduction of a frame-lemma set for SolverManager::rebuild:
-/// `buckets[j]` holds the delta-frame cubes at level j.  A cube at level j
-/// is dropped when a kept cube at level j' ≥ j subsumes it (its clause is
-/// assumed wherever the dropped one would be), and exact duplicates keep
-/// only the highest-level copy.  `skipped`, when non-null, receives the
-/// number of dropped cubes.  Frames::add_lemma maintains this invariant
-/// already, so the sweep is defensive enforcement — exposed as a free
-/// function so tests can feed it buckets that violate the invariant.
-[[nodiscard]] std::vector<std::vector<Cube>> reduce_lemma_buckets(
-    std::vector<std::vector<Cube>> buckets, std::uint64_t* skipped);
 
 }  // namespace pilot::ic3

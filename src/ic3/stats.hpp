@@ -99,9 +99,7 @@ struct GenStrategyStats {
   X(exchange, exchange_skipped)     /* already subsumed locally */            \
   X(cert, cert_checks)              /* certificates checked */                \
   X(cert, cert_failures)            /* each quarantines a verdict */          \
-  X(rebuild, solver_rebuilds)                                                 \
-  X(rebuild, rebuild_carried_phases) /* vars whose phase/activity carried */  \
-  X(rebuild, rebuild_subsumed)      /* lemmas the defensive sweep skipped */
+  X(rebuild, solver_rebuilds)
 
 struct Ic3Stats {
 #define PILOT_IC3_FIELD(group, name) std::uint64_t num_##name = 0;

@@ -1,8 +1,9 @@
 /// \file heap.hpp
 /// Indexed binary max-heap keyed by variable activity.
 ///
-/// Supports decrease/increase-key by tracking each element's position, which
-/// the VSIDS decision heuristic needs when it rescales or bumps activities.
+/// Supports increase-key by tracking each element's position, which the
+/// VSIDS decision heuristic needs when it bumps activities (a rescale keeps
+/// the order, so it needs none).
 #pragma once
 
 #include <cassert>
@@ -47,14 +48,6 @@ class ActivityHeap {
   /// Re-establishes heap order after activity_[v] increased.
   void increased(Var v) {
     if (contains(v)) sift_up(position_[v]);
-  }
-
-  /// Re-establishes heap order after activity_[v] changed arbitrarily
-  /// (e.g. bulk activity import when a solver is rebuilt).
-  void update(Var v) {
-    if (!contains(v)) return;
-    sift_up(position_[v]);
-    sift_down(position_[v]);
   }
 
   /// Removes and returns the variable of maximal activity.

@@ -50,17 +50,6 @@ void Solver::set_decision_var(Var v, bool decide) {
   if (decide && value(v).is_undef()) order_heap_.insert(v);
 }
 
-void Solver::set_activity(Var v, double a) {
-  activity_[v] = a;
-  order_heap_.update(v);
-}
-
-double Solver::max_activity() const {
-  double m = 0.0;
-  for (const double a : activity_) m = std::max(m, a);
-  return m;
-}
-
 void Solver::set_trail_reuse(bool on) {
   trail_reuse_ = on;
   if (!on) {

@@ -15,7 +15,6 @@
 ///     and retiring one costs no root backtrack,
 ///   * final-conflict analysis producing an unsat core over assumptions
 ///     (used for cube shrinking and lifting in IC3),
-///   * phase hints (IC3 seeds predecessor searches with cube polarities),
 ///   * cooperative deadlines so model-checking budgets abort SAT calls.
 ///
 /// Algorithmically: two-watched-literal propagation with implicit binary
@@ -159,22 +158,8 @@ class Solver {
   /// Sets the preferred phase picked when the variable is first decided.
   void set_phase(Var v, bool sign) { polarity_[v] = sign; }
 
-  /// Saved phase of a variable (true = negative), for carrying phases
-  /// across solver rebuilds.
-  [[nodiscard]] bool saved_phase(Var v) const { return polarity_[v] != 0; }
-
   /// Excludes/includes a variable from decision making.
   void set_decision_var(Var v, bool decide);
-
-  /// Current VSIDS activity of a variable (in the solver's internal,
-  /// un-normalized scale — meaningful only relative to max_activity()).
-  [[nodiscard]] double activity(Var v) const { return activity_[v]; }
-  [[nodiscard]] double max_activity() const;
-
-  /// Seeds a variable's activity (e.g. imported from a retired solver).
-  /// Callers should normalize against the source solver's max_activity()
-  /// so the imported values sit in [0, 1] relative to fresh bumps.
-  void set_activity(Var v, double a);
 
   /// Enables/disables assumption-prefix trail reuse (default on).
   /// Disabling backtracks to the root immediately, so verdict-equivalence

@@ -219,13 +219,55 @@ TEST(Engine, AllLiftModesStaySound) {
   }
 }
 
-TEST(Engine, FrequentRebuildsStaySound) {
-  Config cfg;
-  cfg.rebuild_tmp_threshold = 8;  // rebuild constantly
-  const Result r = run(circuits::counter_wrap_safe(5, 16, 30), cfg);
-  EXPECT_EQ(r.verdict, Verdict::kSafe);
-  EXPECT_GE(r.stats.num_solver_rebuilds, 1u);
+/// Every built-in generalization recipe, plus pdr's ternary lifting.
+struct RebuildParam {
+  const char* gen_spec;
+  Config::LiftMode lift_mode;
+  const char* name;
+};
+
+class EngineFrequentRebuilds : public ::testing::TestWithParam<RebuildParam> {
+ protected:
+  /// Runs `cc` rebuilding the main solver and the lifter's constantly, and
+  /// checks the verdict and its certificate.
+  void expect_certified(const circuits::CircuitCase& cc, Verdict expected) {
+    Config cfg;
+    cfg.gen_spec = GetParam().gen_spec;
+    cfg.lift_mode = GetParam().lift_mode;
+    cfg.rebuild_tmp_threshold = 8;
+    const Result r = run(cc, cfg);
+    ASSERT_EQ(r.verdict, expected);
+    EXPECT_GE(r.stats.num_solver_rebuilds, 1u);
+    const ts::TransitionSystem ts = ts::TransitionSystem::from_aig(cc.aig);
+    if (expected == Verdict::kSafe) {
+      ASSERT_TRUE(r.invariant.has_value());
+      EXPECT_TRUE(cert::check(ts, cert::from_invariant(ts, *r.invariant)).ok);
+    } else {
+      ASSERT_TRUE(r.trace.has_value());
+      EXPECT_TRUE(cert::check(ts, cert::from_trace(ts, *r.trace)).ok);
+    }
+  }
+};
+
+TEST_P(EngineFrequentRebuilds, SafeProofStaysCertified) {
+  expect_certified(circuits::counter_wrap_safe(5, 16, 30), Verdict::kSafe);
 }
+
+TEST_P(EngineFrequentRebuilds, UnsafeTraceStaysCertified) {
+  expect_certified(circuits::fifo_unsafe(4, 9), Verdict::kUnsafe);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllRecipes, EngineFrequentRebuilds,
+    ::testing::Values(
+        RebuildParam{"down", Config::LiftMode::kSat, "down"},
+        RebuildParam{"ctg", Config::LiftMode::kSat, "ctg"},
+        RebuildParam{"cav23", Config::LiftMode::kSat, "cav23"},
+        RebuildParam{"predict:down", Config::LiftMode::kSat, "predict_down"},
+        RebuildParam{"predict:ctg", Config::LiftMode::kSat, "predict_ctg"},
+        RebuildParam{"dynamic", Config::LiftMode::kSat, "dynamic"},
+        RebuildParam{"down", Config::LiftMode::kTernary, "pdr"}),
+    [](const auto& info) { return std::string(info.param.name); });
 
 TEST(Engine, UnsafeTraceEndsInBadAndStartsInInit) {
   const auto cc = circuits::combination_lock_unsafe(3, {1, 5, 2, 7});

@@ -1,8 +1,14 @@
 /// Frames tests: delta encoding, subsumption on insert, parent-lemma lookup
-/// (Algorithm 2 line 1-7 semantics), pushes, and the install log.
+/// (Algorithm 2 line 1-7 semantics), pushes, the install log, and the
+/// no-subsumed-lemma invariant under random installs.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "ic3/frames.hpp"
+#include "util/rng.hpp"
 
 namespace pilot::ic3 {
 namespace {
@@ -38,10 +44,8 @@ TEST(Frames, NewLemmaDisplacesWeakerOnes) {
   f.ensure_level(3);
   ASSERT_TRUE(f.add_lemma(Cube::from_lits({pos(1), pos(2)}), 1));
   ASSERT_TRUE(f.add_lemma(Cube::from_lits({pos(1), neg(3)}), 2));
-  std::size_t removed = 0;
   // {1} at level 2 subsumes both (levels 1 and 2 are ≤ 2).
-  EXPECT_TRUE(f.add_lemma(Cube::from_lits({pos(1)}), 2, &removed));
-  EXPECT_EQ(removed, 2u);
+  EXPECT_TRUE(f.add_lemma(Cube::from_lits({pos(1)}), 2));
   EXPECT_EQ(f.total_lemmas(), 1u);
   EXPECT_TRUE(f.delta(1).empty());
   EXPECT_EQ(f.delta(2).size(), 1u);
@@ -161,6 +165,64 @@ TEST(Frames, ForgettingOldInstallsKeepsStampsAbsolute) {
   EXPECT_EQ(since[0].cube, Cube::from_lits({pos(3)}));
   f.forget_installs_before(stamp);  // no-op: already cut there
   EXPECT_EQ(f.installs_since(stamp).size(), 1u);
+}
+
+/// First pair (lower-level lemma, lemma at a level ≥ it) where the lower
+/// one is a superset of the other, exact duplicates included; "" if none.
+/// An O(n²) scan over every lemma pair.
+std::string first_subsumed_lemma(const Frames& f) {
+  for (std::size_t j = 1; j <= f.top_level(); ++j) {
+    for (std::size_t a = 0; a < f.delta(j).size(); ++a) {
+      const Cube& weak = f.delta(j)[a];
+      for (std::size_t k = j; k <= f.top_level(); ++k) {
+        for (std::size_t b = 0; b < f.delta(k).size(); ++b) {
+          if (k == j && b == a) continue;
+          const Cube& strong = f.delta(k)[b];
+          if (strong.subset_of(weak)) {
+            return weak.to_string() + "@" + std::to_string(j) + " ⊇ " +
+                   strong.to_string() + "@" + std::to_string(k);
+          }
+        }
+      }
+    }
+  }
+  return "";
+}
+
+TEST(Frames, RandomInstallsKeepNoLemmaSubsumedAtOrAbove) {
+  // A solver rebuild replays delta(j) for every j as it stands, so Frames
+  // alone must keep the lemma set free of redundancy: no lemma at level j is
+  // a superset of another lemma at a level ≥ j.  Random mix of add_lemma
+  // and push_lemma over 6 latches and 4 levels, checked after every install.
+  constexpr std::size_t kLatches = 6;
+  constexpr std::size_t kTop = 4;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    Frames f;
+    f.ensure_level(kTop);
+    for (int step = 0; step < 200; ++step) {
+      std::vector<std::pair<std::size_t, Cube>> pushable;
+      for (std::size_t j = 1; j < kTop; ++j) {
+        for (const Cube& c : f.delta(j)) pushable.emplace_back(j, c);
+      }
+      if (!pushable.empty() && rng.below(3) == 0) {
+        auto [level, cube] = pushable[rng.below(pushable.size())];
+        f.push_lemma(std::move(cube), level);
+      } else {
+        std::vector<Lit> lits;
+        for (std::size_t v = 0; v < kLatches; ++v) {
+          if (rng.below(2) == 0) {
+            lits.push_back(Lit::make(static_cast<Var>(v), rng.below(2) == 0));
+          }
+        }
+        if (lits.empty()) continue;
+        f.add_lemma(Cube::from_lits(std::move(lits)),
+                    static_cast<std::size_t>(rng.range(1, kTop)));
+      }
+      ASSERT_EQ(first_subsumed_lemma(f), "")
+          << "seed " << seed << ", step " << step;
+    }
+  }
 }
 
 }  // namespace

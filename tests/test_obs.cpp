@@ -360,7 +360,8 @@ TEST(StatsJson, LoaderToleratesRowsWithoutPhases) {
   const json::Value v = json::parse(
       R"({"lemmas": 4, "max_frame": 2, "time_generalize": 0.5,)"
       R"( "filter_checks": 3, "sat_subsumed": 2, "restarts": 5,)"
-      R"( "blocked_cubes": 2})");
+      R"( "blocked_cubes": 2, "rebuild_carried_phases": 7,)"
+      R"( "rebuild_subsumed": 0})");
   const ic3::Ic3Stats s = corpus::stats_from_json(v);
   EXPECT_EQ(s.num_lemmas, 4u);
   EXPECT_DOUBLE_EQ(s.time_total, 0.0);

@@ -3,6 +3,8 @@
 /// model extraction, activation-literal layering, and rebuilds.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "circuits/families.hpp"
 #include "ic3/solver_manager.hpp"
 #include "ts/transition_system.hpp"
@@ -125,18 +127,50 @@ TEST(SolverManager, PushQueryUsesFrameClause) {
 TEST(SolverManager, RebuildPreservesSemantics) {
   WrapCounterFixture f;
   Frames frames;
-  frames.ensure_level(2);
-  const Cube c6 = f.state_cube(6);
-  frames.add_lemma(c6, 2);
-  f.solvers.ensure_level(2);
-  f.solvers.add_lemma_clause(c6, 2);
-  ASSERT_FALSE(f.solvers.solve_bad(2, Deadline{}));
+  frames.ensure_level(3);
+  f.solvers.ensure_level(3);
+  // The solver keeps every clause it was given; Frames keeps only the
+  // lemmas nothing displaced.  A rebuild replays just the latter.
+  auto install = [&](const Cube& c, std::size_t level) {
+    if (frames.add_lemma(c, level)) f.solvers.add_lemma_clause(c, level);
+  };
+  install(f.state_cube(6), 2);
+  install(f.state_cube(7), 1);
+  install(f.state_cube(5), 1);
+  // {bit2=1, bit1=1} = counts 6 and 7: displaces both single-state lemmas.
+  install(Cube::from_lits({Lit::make(f.ts.state_var(2)),
+                           Lit::make(f.ts.state_var(1))}),
+          2);
+  frames.push_lemma(f.state_cube(5), 1);
+  f.solvers.add_lemma_clause(f.state_cube(5), 2);
+
+  // Every full state cube and every one-literal cube, at every level, with
+  // and without the temporary ¬c clause, plus solve_bad at every level.
+  std::vector<Cube> cubes;
+  for (std::uint64_t v = 0; v < 8; ++v) cubes.push_back(f.state_cube(v));
+  for (std::size_t i = 0; i < f.ts.num_latches(); ++i) {
+    cubes.push_back(Cube::from_lits({Lit::make(f.ts.state_var(i))}));
+    cubes.push_back(Cube::from_lits({Lit::make(f.ts.state_var(i), true)}));
+  }
+  auto answers = [&] {
+    std::vector<bool> out;
+    for (std::size_t level = 0; level <= 3; ++level) {
+      out.push_back(f.solvers.solve_bad(level, Deadline{}));
+      for (const Cube& c : cubes) {
+        for (const bool in_frame : {false, true}) {
+          out.push_back(f.solvers.relative_inductive(c, level, in_frame,
+                                                     nullptr, Deadline{}));
+        }
+      }
+    }
+    return out;
+  };
+  ASSERT_FALSE(f.solvers.solve_bad(1, Deadline{}));
+  const std::vector<bool> before = answers();
 
   f.solvers.rebuild(frames);
-  // Same answers after the rebuild.
-  EXPECT_FALSE(f.solvers.solve_bad(2, Deadline{}));
-  EXPECT_FALSE(f.solvers.solve_bad(0, Deadline{}));
-  EXPECT_GE(f.stats.num_solver_rebuilds, 1u);
+  EXPECT_EQ(answers(), before);
+  EXPECT_EQ(f.stats.num_solver_rebuilds, 1u);
 }
 
 TEST(SolverManager, ModelInputsComeFromTheInputCone) {
