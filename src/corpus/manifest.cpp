@@ -183,7 +183,7 @@ void write_manifest(const Manifest& manifest, const std::string& path) {
     json::Array tags;
     for (const std::string& t : e.tags) tags.push_back(t);
     row["tags"] = std::move(tags);
-    cases.push_back(std::move(row));
+    cases.emplace_back(std::move(row));
   }
   json::Object doc;
   doc["version"] = 1;

@@ -34,10 +34,12 @@ constexpr std::array<std::pair<std::string_view, DropMode>, 3> kDropLoops{{
     {"cav23", DropMode::kCav23},
 }};
 
-/// ctgDown limits: recursion depth, and CTGs blocked per down() before
-/// joining.
+/// ctgDown limits: recursion depth, CTGs blocked per down() before
+/// joining, and failed drops in a row before mic() gives up (IC3ref's
+/// micAttempts).
 constexpr int kCtgMaxDepth = 1;
 constexpr std::size_t kCtgMaxCtgs = 3;
+constexpr int kCtgMicAttempts = 3;
 
 /// The three drop-loop strategies share one MIC implementation and differ
 /// in literal ordering (cav23) and CTG handling (ctg).
@@ -76,20 +78,43 @@ class FixedStrategy final : public GenStrategy {
     return order;
   }
 
+  // The kCtg loop is IC3ref's mic/ctgDown [Hassan et al., FMCAD'13;
+  // github.com/arbrad/IC3ref] with its two stopping rules:
+  //  - micAttempts: mic() returns after kCtgMicAttempts failed drops in a
+  //    row; a candidate that intersects I is a failed drop, and a
+  //    successful drop resets the count.
+  //  - keepTo: a join in ctg_down() that would remove a literal whose own
+  //    drop already failed fails the drop instead.
+  // Differences an audit against IC3ref's ctgDown still finds:
+  //  - Depth: IC3ref's ctgDown at recDepth > maxDepth is one plain
+  //    consecution query, without joins; here the recursive mic (depth
+  //    kCtgMaxDepth) blocks no CTG but still joins.
+  //  - maxJoins: IC3ref caps joins per ctgDown at 2^20; here a join ends
+  //    the drop only when it is empty or keeps every literal.
+  //  - Order: IC3ref sorts the cube by literal activity before each mic;
+  //    here literals go in variable order (order_literals()).
+  //  - Pushing a blocked CTG: IC3ref keeps the level-1 core while it pushes
+  //    the CTG forward; here each successful push query shrinks it again.
   Cube mic(Cube cube, std::size_t level, int depth, const Deadline& deadline,
            const AddLemmaFn& add_lemma) {
+    std::vector<Lit> kept;  // kCtg: literals whose drop failed (keepTo)
+    int attempts = kCtgMicAttempts;
     for (const Lit l : order_literals(cube, level)) {
       if (cube.size() <= 1) break;
       if (!cube.contains(l)) continue;  // removed by an earlier core shrink
       Cube cand = cube.without(l);
-      if (ctx_.ts.cube_intersects_init(cand.lits())) continue;
       if (mode_ == DropMode::kCtg) {
-        if (ctg_down(cand, level, depth, deadline, add_lemma)) {
+        if (ctg_down(cand, kept, level, depth, deadline, add_lemma)) {
           cube = cand;
           ++ctx_.stats.num_mic_drops;
+          attempts = kCtgMicAttempts;
+        } else {
+          kept.push_back(l);
+          if (--attempts == 0) break;
         }
         continue;
       }
+      if (ctx_.ts.cube_intersects_init(cand.lits())) continue;
       ++ctx_.stats.num_mic_queries;
       Cube core;
       if (ctx_.solvers.relative_inductive(cand, level - 1,
@@ -102,8 +127,12 @@ class FixedStrategy final : public GenStrategy {
     return cube;
   }
 
-  bool ctg_down(Cube& cand, std::size_t level, int depth,
-                const Deadline& deadline, const AddLemmaFn& add_lemma) {
+  /// One ctgDown drop attempt: shrinks `cand` to a cube inductive relative
+  /// to R_{level-1} and returns true, or returns false.  `kept` lists the
+  /// literals mic() failed to drop; no join removes one of them.
+  bool ctg_down(Cube& cand, const std::vector<Lit>& kept, std::size_t level,
+                int depth, const Deadline& deadline,
+                const AddLemmaFn& add_lemma) {
     std::size_t ctgs = 0;
     for (;;) {
       if (ctx_.ts.cube_intersects_init(cand.lits())) return false;
@@ -147,10 +176,14 @@ class FixedStrategy final : public GenStrategy {
           continue;
         }
       }
-      // Join: keep only the literals the CTG shares with the candidate.
+      // Join: keep only the literals the CTG shares with the candidate,
+      // unless that would remove a literal mic() has kept.
       ctgs = 0;
       const Cube joined = cand.intersect(ctg_full);
       if (joined.empty() || joined.size() == cand.size()) return false;
+      for (const Lit k : kept) {
+        if (cand.contains(k) && !joined.contains(k)) return false;
+      }
       cand = joined;
     }
   }
