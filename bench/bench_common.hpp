@@ -172,14 +172,14 @@ inline std::map<std::string, std::vector<check::RunRecord>> by_engine(
   return out;
 }
 
-/// Paper-style configuration label (Table 1 row names).
+/// Paper-style configuration label (Table 1 row names).  ABC-PDR's plain
+/// dropping with ternary lifting is exactly ic3-down (its alias "pdr").
 inline std::string paper_label(const std::string& spec) {
-  if (spec == "ic3-down") return "RIC3";
+  if (spec == "ic3-down" || spec == "pdr") return "RIC3/ABC-PDR";
   if (spec == "ic3-down-pl") return "RIC3-pl";
   if (spec == "ic3-ctg") return "IC3ref";
   if (spec == "ic3-ctg-pl") return "IC3ref-pl";
   if (spec == "ic3-cav23") return "IC3ref-CAV23";
-  if (spec == "pdr") return "ABC-PDR";
   return spec;
 }
 

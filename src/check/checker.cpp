@@ -11,7 +11,7 @@ namespace pilot::check {
 
 const std::vector<std::string>& paper_configurations() {
   static const std::vector<std::string> kConfigs{
-      "ic3-down", "ic3-down-pl", "ic3-ctg", "ic3-ctg-pl", "ic3-cav23", "pdr",
+      "ic3-down", "ic3-down-pl", "ic3-ctg", "ic3-ctg-pl", "ic3-cav23",
   };
   return kConfigs;
 }

@@ -11,11 +11,11 @@
 /// once by cert::check.  Callers that save, cache or gate on the
 /// certificate read CheckResult instead of checking again.
 ///
-/// The six configurations evaluated in the paper map onto specs as follows
+/// The six configurations evaluated in the paper map onto five specs
 /// (docs/ARCHITECTURE.md, "Experiment configurations"):
 ///   RIC3         → "ic3-down"     RIC3-pl      → "ic3-down-pl"
 ///   IC3ref       → "ic3-ctg"      IC3ref-pl    → "ic3-ctg-pl"
-///   IC3ref-CAV23 → "ic3-cav23"    ABC-PDR      → "pdr"
+///   IC3ref-CAV23 → "ic3-cav23"    ABC-PDR      → "ic3-down" (alias "pdr")
 /// plus the "bmc" / "kind" baselines for cross-checking and "portfolio",
 /// which races several backends and takes the first verdict.
 #pragma once

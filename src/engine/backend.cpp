@@ -234,7 +234,8 @@ std::string unknown_engine_message(const std::string& token) {
 
 ic3::Config ic3_config_for(const std::string& name, std::uint64_t seed) {
   // Each IC3 registry name is one generalization recipe (SuYC24 Table 1);
-  // ic3-dyn is SuYC25's mid-run switching between them.
+  // ic3-dyn is SuYC25's mid-run switching between them.  ABC-PDR is
+  // ic3-down; "pdr" stays a name so old campaigns still resolve.
   static const std::map<std::string, std::string> kSpecs{
       {"ic3-down", "down"},   {"ic3-down-pl", "predict:down"},
       {"ic3-ctg", "ctg"},     {"ic3-ctg-pl", "predict:ctg"},
@@ -249,8 +250,6 @@ ic3::Config ic3_config_for(const std::string& name, std::uint64_t seed) {
   ic3::Config cfg;
   cfg.seed = seed;
   cfg.gen_spec = it->second;
-  // PDR'11 lifted predecessors by ternary simulation.
-  if (name == "pdr") cfg.lift_mode = ic3::Config::LiftMode::kTernary;
   return cfg;
 }
 

@@ -111,7 +111,8 @@ void register_backend(const std::string& name, BackendFactory factory);
 
 /// The ic3::Config behind an IC3-family backend name ("ic3-down",
 /// "ic3-down-pl", "ic3-ctg", "ic3-ctg-pl", "ic3-cav23", "ic3-dyn",
-/// "pdr").  Throws std::invalid_argument for non-IC3 names.
+/// "pdr", an alias of "ic3-down").  Throws std::invalid_argument for non-IC3
+/// names.
 [[nodiscard]] ic3::Config ic3_config_for(const std::string& name,
                                          std::uint64_t seed);
 

@@ -5,7 +5,8 @@
 /// experiment configuration of the paper (docs/ARCHITECTURE.md,
 /// "Experiment configurations"): RIC3 is "down", IC3ref is "ctg", their
 /// `-pl` variants put the prediction in front ("predict:down",
-/// "predict:ctg"), and ABC-PDR is "down" with ternary lifting.
+/// "predict:ctg"), and ABC-PDR is plain "down" too.  Every engine lifts
+/// predecessors by ternary simulation (ic3/lifter.hpp).
 #pragma once
 
 #include <cstdint>
@@ -57,15 +58,10 @@ struct Config {
   bool predict_refine_diff = true;
 
   // --- engine behaviour ---
-  /// Predecessor lifting strategy: SAT final-conflict cores (default, as in
-  /// modern IC3 implementations) or ternary simulation (the original PDR
-  /// approach of Een–Mishchenko).
-  enum class LiftMode { kSat, kTernary };
-  LiftMode lift_mode = LiftMode::kSat;
-  /// Rebuild the main solver (and the lifter's) after this many retired
-  /// temporary activation variables.  The temporary clauses themselves are
-  /// detached after their query; a rebuild only reclaims the retired
-  /// variables and the learnt clauses that mention them.
+  /// Rebuild the main solver after this many retired temporary activation
+  /// variables.  The temporary clauses themselves are detached after their
+  /// query; a rebuild only reclaims the retired variables and the learnt
+  /// clauses that mention them.
   std::size_t rebuild_tmp_threshold = 3000;
 
   // --- SAT layer tuning ---

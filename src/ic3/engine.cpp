@@ -14,7 +14,7 @@ Engine::Engine(const ts::TransitionSystem& ts, Config cfg)
     : ts_(ts),
       cfg_(cfg),
       solvers_(ts_, cfg_, stats_),
-      lifter_(ts_, cfg_, stats_),
+      lifter_(ts_, stats_),
       generalizer_(ts_, solvers_, frames_, cfg_, stats_) {}
 
 void Engine::add_lemma(const Cube& cube, std::size_t level) {
@@ -75,7 +75,7 @@ Result Engine::check(Deadline deadline, const CancelToken* cancel) {
     if (solvers_.solve_bad(0, deadline)) {
       const Cube state_full = solvers_.model_state(/*primed=*/false);
       const std::vector<Lit> inputs = solvers_.model_inputs();
-      const Cube state = lifter_.lift_bad(state_full, inputs, deadline);
+      const Cube state = lifter_.lift_bad(state_full, inputs);
       result.verdict = Verdict::kUnsafe;
       result.trace = Trace{{state}, {inputs}};
     } else if (ts_.num_latches() == 0) {
@@ -95,7 +95,7 @@ Result Engine::check(Deadline deadline, const CancelToken* cancel) {
           while (solvers_.solve_bad(k, deadline)) {
             const Cube state_full = solvers_.model_state(/*primed=*/false);
             const std::vector<Lit> inputs = solvers_.model_inputs();
-            const Cube state = lifter_.lift_bad(state_full, inputs, deadline);
+            const Cube state = lifter_.lift_bad(state_full, inputs);
             pool_.clear();
             queue_.clear();
             cex_leaf_ = -1;
@@ -214,8 +214,7 @@ bool Engine::block(int root_index, const Deadline& deadline) {
       ++stats_.num_ctis;
       const Cube pred_full = solvers_.model_state(/*primed=*/false);
       const std::vector<Lit> inputs = solvers_.model_inputs();
-      const Cube pred =
-          lifter_.lift_predecessor(pred_full, inputs, ob.cube, deadline);
+      const Cube pred = lifter_.lift_predecessor(pred_full, inputs, ob.cube);
       // push_back below may reallocate pool_, invalidating `ob` — snapshot
       // the fields needed afterwards.
       const std::size_t ob_level = ob.level;

@@ -54,8 +54,8 @@ std::string PhaseProfile::table(double total_seconds) const {
                   seconds[i], pct);
     out += line;
   }
-  out += "(phases nest — block contains generalize/lift, which contain "
-         "sat_solve — so rows overlap and do not sum to the total)\n";
+  out += "(phases nest — block contains generalize and lift, generalize "
+         "contains sat_solve — so rows overlap and do not sum to the total)\n";
   return out;
 }
 

@@ -9,8 +9,8 @@
 /// share one taxonomy.
 ///
 /// Phases nest by design: kBlock covers the whole blocking loop, which
-/// contains kGeneralize and kLift, which in turn contain kSatSolve — the rows
-/// of the breakdown table overlap and do not sum to the total.
+/// contains kGeneralize (which in turn contains kSatSolve) and kLift — the
+/// rows of the breakdown table overlap and do not sum to the total.
 
 #include <array>
 #include <cstdint>
@@ -27,7 +27,7 @@ enum class Phase : std::uint8_t {
   kGeneralize,     // lemma generalization (MIC / ctgDown / prediction)
   kPredict,        // the paper's lemma-prediction pass (inside generalize)
   kPropagate,      // frame propagation / lemma pushing
-  kLift,           // predecessor lifting (ternary sim + SAT)
+  kLift,           // predecessor and bad-state lifting (ternary sim)
   kRebuild,        // SAT solver rebuild at frame boundaries
   kSatSolve,       // SAT queries (solve_bad / relative induction)
   kUnroll,         // BMC / k-induction transition unrolling

@@ -9,12 +9,12 @@
 ///     the previous call are re-propagated — IC3's long shared activation
 ///     prefixes (act_j for all j ≥ level) become near-free,
 ///   * one query-scoped temporary clause (add_temporary/drop_temporary):
-///     the ¬c of a relative-induction query, or the ¬t′ of a lifting
-///     query, is guarded by a fresh activation literal and detached right
-///     after its solve, so retired clauses never sit in the watch lists
-///     and retiring one costs no root backtrack,
+///     the ¬c of a relative-induction query is guarded by a fresh
+///     activation literal and detached right after its solve, so retired
+///     clauses never sit in the watch lists and retiring one costs no root
+///     backtrack,
 ///   * final-conflict analysis producing an unsat core over assumptions
-///     (used for cube shrinking and lifting in IC3),
+///     (used for cube shrinking in IC3),
 ///   * cooperative deadlines so model-checking budgets abort SAT calls.
 ///
 /// Algorithmically: two-watched-literal propagation with implicit binary

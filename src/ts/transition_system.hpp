@@ -57,8 +57,8 @@ class TransitionSystem {
   /// afterwards (e.g. activation literals).
   void install(sat::Solver& solver) const;
 
-  /// Installs only the current-step combinational logic (no X' definitions).
-  /// Used for purely combinational queries such as bad-cube lifting.
+  /// Installs only the current-step combinational logic (no X' definitions);
+  /// install() starts with it.
   void install_combinational(sat::Solver& solver) const;
 
   /// Current-step literal of an AIG literal.

@@ -50,7 +50,7 @@ TEST(BackendRegistry, UnknownNameThrowsListingRegisteredEngines) {
   }
 }
 
-/// Every IC3 registry name but pdr, with the strategy spec it runs.
+/// Every IC3 registry name but the alias pdr, with the strategy spec it runs.
 const std::vector<std::pair<std::string, std::string>> kIc3Specs{
     {"ic3-down", "down"},   {"ic3-down-pl", "predict:down"},
     {"ic3-ctg", "ctg"},     {"ic3-ctg-pl", "predict:ctg"},
@@ -60,12 +60,8 @@ const std::vector<std::pair<std::string, std::string>> kIc3Specs{
 TEST(BackendRegistry, Ic3ConfigForMatchesNames) {
   for (const auto& [name, spec] : kIc3Specs) {
     EXPECT_EQ(ic3_config_for(name, 1).gen_spec, spec) << name;
-    EXPECT_EQ(ic3_config_for(name, 1).lift_mode, ic3::Config::LiftMode::kSat)
-        << name;
   }
   EXPECT_EQ(ic3_config_for("pdr", 1).gen_spec, "down");
-  EXPECT_EQ(ic3_config_for("pdr", 1).lift_mode,
-            ic3::Config::LiftMode::kTernary);
   EXPECT_EQ(ic3_config_for("ic3-ctg", 42).seed, 42u);
   EXPECT_THROW((void)ic3_config_for("bmc", 1), std::invalid_argument);
   EXPECT_THROW((void)ic3_config_for("portfolio", 1), std::invalid_argument);
@@ -190,13 +186,13 @@ TEST(ConfigPatch, LastValueWinsAndItemsAreCanonical) {
   EXPECT_EQ(p.items(), want);
   EXPECT_EQ(ic3::ConfigPatch::parse(p.items()), p);
 
-  ic3::Config cfg = ic3_config_for("pdr", 0);
+  ic3::Config cfg = ic3_config_for("ic3-ctg", 7);
   p.apply(cfg);
   EXPECT_EQ(cfg.gen_spec, "down");
   EXPECT_EQ(cfg.predict_max_extra_lits, 2);
   EXPECT_FALSE(cfg.predict_refine_diff);
   // Unpatched fields keep the name's.
-  EXPECT_EQ(cfg.lift_mode, ic3::Config::LiftMode::kTernary);
+  EXPECT_EQ(cfg.seed, 7u);
 }
 
 /// The search-path fingerprint of one check_ts run.
@@ -248,6 +244,25 @@ TEST(ConfigPatch, AblationKeysSetTheirFields) {
   EXPECT_FALSE(cfg.predict_refine_diff);
   EXPECT_EQ(cfg.predict_max_extra_lits, 2);
   EXPECT_TRUE(cfg.predict_core_shrink);
+}
+
+TEST(Backend, PdrIsIc3Down) {
+  // ABC-PDR is plain dropping with ternary lifting, which is exactly what
+  // ic3-down runs: both names walk the same search path and print the same
+  // stats line.
+  for (const auto& cc :
+       {circuits::token_ring_safe(5), circuits::fifo_unsafe(4, 9)}) {
+    const ts::TransitionSystem ts = make_ts(cc);
+    check::CheckOptions opts;
+    opts.engine_spec = "pdr";
+    const check::CheckResult pdr = check::check_ts(ts, opts);
+    opts.engine_spec = "ic3-down";
+    const check::CheckResult down = check::check_ts(ts, opts);
+    EXPECT_NE(down.verdict, ic3::Verdict::kUnknown) << cc.name;
+    EXPECT_EQ(pdr.verdict, down.verdict) << cc.name;
+    EXPECT_EQ(pdr.stats.summary(), down.stats.summary()) << cc.name;
+    EXPECT_GT(down.stats.num_packed_sim_words, 0u) << cc.name;
+  }
 }
 
 TEST(Backend, StoppedTokenYieldsUnknown) {

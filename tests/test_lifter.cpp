@@ -1,8 +1,8 @@
-/// Lifter tests: both SAT-core and ternary-simulation lifting must produce
-/// cubes whose every completion still reaches the target — verified by an
-/// independent SAT query — and should genuinely shrink cubes with
-/// irrelevant latches.  The packed ternary lift must equal a byte-wise
-/// reference: one full aig::TernarySimulator sweep per latch.
+/// Lifter tests: ternary-simulation lifting must produce cubes whose every
+/// completion still reaches the target — verified by an independent SAT
+/// query — and should genuinely shrink cubes with irrelevant latches.  The
+/// packed lift must equal a byte-wise reference: one full
+/// aig::TernarySimulator sweep per latch.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -10,7 +10,7 @@
 #include "circuits/builder.hpp"
 #include "circuits/families.hpp"
 #include "ic3/lifter.hpp"
-#include "ic3/solver_manager.hpp"
+#include "sat/solver.hpp"
 #include "ts/transition_system.hpp"
 
 namespace pilot::ic3 {
@@ -19,7 +19,7 @@ namespace {
 /// A circuit where most latches are irrelevant to the property: an 8-bit
 /// free counter plus a 1-bit flag latch; bad = flag & (count == 3).
 struct LiftFixture {
-  explicit LiftFixture(Config::LiftMode mode) {
+  LiftFixture() {
     aig::Aig a;
     const aig::AigLit set_flag = a.add_input("set");
     const circuits::Word count = circuits::make_latches(a, 8, 0, "count");
@@ -29,10 +29,7 @@ struct LiftFixture {
     a.add_bad(a.make_and(flag, circuits::equals_const(a, count, 3)));
     ts = std::make_unique<ts::TransitionSystem>(
         ts::TransitionSystem::from_aig(a));
-    cfg.lift_mode = mode;
-    lifter = std::make_unique<Lifter>(*ts, cfg, stats);
-    solvers = std::make_unique<SolverManager>(*ts, cfg, stats);
-    solvers->ensure_level(1);
+    lifter = std::make_unique<Lifter>(*ts, stats);
   }
 
   /// Full state cube: count value + flag bit.
@@ -74,72 +71,58 @@ struct LiftFixture {
   }
 
   std::unique_ptr<ts::TransitionSystem> ts;
-  Config cfg;
   Ic3Stats stats;
   std::unique_ptr<Lifter> lifter;
-  std::unique_ptr<SolverManager> solvers;
 };
 
-class LifterModes : public ::testing::TestWithParam<Config::LiftMode> {};
-
-TEST_P(LifterModes, PredecessorLiftIsSoundAndShrinks) {
-  LiftFixture f(GetParam());
+TEST(Lifter, PredecessorLiftIsSoundAndShrinks) {
+  LiftFixture f;
   // Predecessor (count=2, flag=1) with no set input steps to
   // (count=3, flag=1); the successor cube is just {flag, count==3}'s
   // pre-image target: pick successor = full state (3, true).
   const Cube pred = f.full_state(2, true);
   const Cube succ = f.full_state(3, true);
   const std::vector<Lit> inputs{Lit::make(f.ts->input_var(0), true)};
-  const Cube lifted = f.lifter->lift_predecessor(pred, inputs, succ, {});
+  const Cube lifted = f.lifter->lift_predecessor(pred, inputs, succ);
   EXPECT_TRUE(lifted.subset_of(pred));
   EXPECT_TRUE(f.lift_is_valid(lifted, inputs, succ)) << lifted.to_string();
 }
 
-TEST_P(LifterModes, BadLiftDropsIrrelevantLatches) {
-  LiftFixture f(GetParam());
+TEST(Lifter, BadLiftDropsIrrelevantLatches) {
+  LiftFixture f;
   // State (count=3, flag=1) raises bad regardless of the input.
   const Cube state = f.full_state(3, true);
   const std::vector<Lit> inputs{Lit::make(f.ts->input_var(0), true)};
-  const Cube lifted = f.lifter->lift_bad(state, inputs, {});
+  const Cube lifted = f.lifter->lift_bad(state, inputs);
   EXPECT_TRUE(lifted.subset_of(state));
   // All 9 latches matter here (count==3 needs all count bits + flag):
   // nothing shrinks below what keeps bad provable.
   EXPECT_EQ(lifted.size(), 9u);
 }
 
-TEST_P(LifterModes, SuccessorTargetWithFewLiterals) {
-  LiftFixture f(GetParam());
+TEST(Lifter, SuccessorTargetWithFewLiterals) {
+  LiftFixture f;
   // Successor target: {flag=1} only.  From (count=7, flag=1), any input
-  // keeps flag=1 — the count bits are irrelevant and should be dropped by
-  // both lifting strategies.
+  // keeps flag=1 — the count bits are irrelevant and must be dropped.
   const Cube pred = f.full_state(7, true);
   const Cube succ = Cube::from_lits({Lit::make(f.ts->state_var(8))});
   const std::vector<Lit> inputs{Lit::make(f.ts->input_var(0), true)};
-  const Cube lifted = f.lifter->lift_predecessor(pred, inputs, succ, {});
+  const Cube lifted = f.lifter->lift_predecessor(pred, inputs, succ);
   EXPECT_TRUE(f.lift_is_valid(lifted, inputs, succ));
   EXPECT_LE(lifted.size(), 1u) << lifted.to_string();
   EXPECT_TRUE(lifted.contains(Lit::make(f.ts->state_var(8))));
 }
 
-INSTANTIATE_TEST_SUITE_P(Modes, LifterModes,
-                         ::testing::Values(Config::LiftMode::kSat,
-                                           Config::LiftMode::kTernary),
-                         [](const auto& info) {
-                           return info.param == Config::LiftMode::kSat
-                                      ? "sat"
-                                      : "ternary";
-                         });
-
 // ----- ternary lifting against the byte-wise reference ----------------------
 
 TEST(TernaryLift, PredecessorLiftsAreSoundAndNeverGrow) {
-  LiftFixture f(Config::LiftMode::kTernary);
+  LiftFixture f;
   for (std::uint64_t count = 0; count < 8; ++count) {
     for (const bool flag : {false, true}) {
       const Cube pred = f.full_state(count, flag);
       const Cube succ = f.full_state(count + 1, flag);
       const std::vector<Lit> inputs{Lit::make(f.ts->input_var(0), !flag)};
-      const Cube lifted = f.lifter->lift_predecessor(pred, inputs, succ, {});
+      const Cube lifted = f.lifter->lift_predecessor(pred, inputs, succ);
       EXPECT_TRUE(lifted.subset_of(pred)) << count << "/" << flag;
       EXPECT_LE(lifted.size(), pred.size());
       EXPECT_TRUE(f.lift_is_valid(lifted, inputs, succ))
@@ -150,12 +133,12 @@ TEST(TernaryLift, PredecessorLiftsAreSoundAndNeverGrow) {
 }
 
 TEST(TernaryLift, BadLiftsAreIndependentlyValidated) {
-  LiftFixture f(Config::LiftMode::kTernary);
+  LiftFixture f;
   // (count=3, flag=1) raises bad; the lift may only shrink the cube and
   // every completion of the result must still raise bad.
   const Cube state = f.full_state(3, true);
   const std::vector<Lit> inputs{Lit::make(f.ts->input_var(0), true)};
-  const Cube lifted = f.lifter->lift_bad(state, inputs, {});
+  const Cube lifted = f.lifter->lift_bad(state, inputs);
   EXPECT_TRUE(lifted.subset_of(state));
   EXPECT_LE(lifted.size(), state.size());
   EXPECT_TRUE(f.bad_lift_is_valid(lifted, inputs)) << lifted.to_string();
@@ -202,7 +185,7 @@ TEST(Lifter, PackedAndByteProduceIdenticalCubes) {
   // not a semantic variant: its triage + sequential-confirmation schedule
   // tracks the one-sweep-per-latch loop exactly, so the lifted cubes must
   // be *equal*, not merely both sound.
-  LiftFixture packed(Config::LiftMode::kTernary);
+  LiftFixture packed;
   const ts::TransitionSystem& ts = *packed.ts;
   auto reaches = [&](const Cube& succ) {
     return [&ts, succ](const aig::TernarySimulator& sim) {
@@ -232,12 +215,12 @@ TEST(Lifter, PackedAndByteProduceIdenticalCubes) {
           Cube::from_lits({Lit::make(ts.state_var(8), !flag)});
       const std::vector<Lit> inputs{Lit::make(ts.input_var(0), !flag)};
       for (const Cube& succ : {succ_full, succ_flag}) {
-        const Cube a = packed.lifter->lift_predecessor(pred, inputs, succ, {});
+        const Cube a = packed.lifter->lift_predecessor(pred, inputs, succ);
         const Cube b = reference_lift(ts, pred, inputs, reaches(succ));
         EXPECT_EQ(a, b) << "count=" << count << " flag=" << flag << " pred "
                         << a.to_string() << " vs " << b.to_string();
       }
-      const Cube a = packed.lifter->lift_bad(pred, inputs, {});
+      const Cube a = packed.lifter->lift_bad(pred, inputs);
       const Cube b = reference_lift(ts, pred, inputs, raises_bad);
       EXPECT_EQ(a, b) << "count=" << count << " flag=" << flag << " bad "
                       << a.to_string() << " vs " << b.to_string();
@@ -251,10 +234,8 @@ TEST(Lifter, TernaryRespectsConstraints) {
   // stays definite-true.
   const auto cc = circuits::shift_register(4, true);
   const ts::TransitionSystem ts = ts::TransitionSystem::from_aig(cc.aig);
-  Config cfg;
-  cfg.lift_mode = Config::LiftMode::kTernary;
   Ic3Stats stats;
-  Lifter lifter(ts, cfg, stats);
+  Lifter lifter(ts, stats);
   // Predecessor: all stages 0; successor: all stages 0; input 0.
   std::vector<Lit> state_lits;
   for (std::size_t i = 0; i < ts.num_latches(); ++i) {
@@ -263,7 +244,7 @@ TEST(Lifter, TernaryRespectsConstraints) {
   const Cube pred = Cube::from_lits(state_lits);
   const Cube succ = pred;
   const std::vector<Lit> inputs{Lit::make(ts.input_var(0), true)};
-  const Cube lifted = lifter.lift_predecessor(pred, inputs, succ, {});
+  const Cube lifted = lifter.lift_predecessor(pred, inputs, succ);
   EXPECT_TRUE(lifted.subset_of(pred));
   EXPECT_FALSE(lifted.empty());
 }
