@@ -5,7 +5,7 @@
 #include <stdexcept>
 #include <variant>
 
-#include "ic3/gen_strategy.hpp"
+#include "ic3/generalizer.hpp"
 
 namespace pilot::ic3 {
 

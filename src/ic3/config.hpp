@@ -23,9 +23,9 @@ namespace pilot::ic3 {
 class LemmaBus;  // ic3/lemma_bus.hpp — portfolio lemma-exchange endpoint
 
 struct Config {
-  /// Generalization-strategy registry spec: "down", "ctg", "cav23",
-  /// "predict[:down|ctg|cav23]", "dynamic[:window,threshold]", or any
-  /// registered name (gen_strategy.hpp).
+  /// Generalization-strategy spec: "down", "ctg", "cav23",
+  /// "predict[:down|ctg|cav23]" or "dynamic[:window,threshold]"
+  /// (generalizer.hpp).
   std::string gen_spec = "ctg";
 
   /// Portfolio lemma exchange (non-owning; engine/lemma_exchange.hpp):
@@ -85,7 +85,7 @@ class ConfigPatch {
  public:
   /// Parses "key=value" items; a repeated key keeps its last value.
   /// Throws std::invalid_argument naming the offending item and listing
-  /// the valid keys (for gen, also the registered strategies).
+  /// the valid keys (for gen, also the strategy names).
   static ConfigPatch parse(const std::vector<std::string>& items);
 
   /// Every settable key, sorted.

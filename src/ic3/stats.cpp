@@ -12,48 +12,24 @@ void GenStrategyStats::record(bool success_, std::uint64_t queries_,
   successes += success_ ? 1 : 0;
   queries += queries_;
   dropped_lits += dropped_;
-  const GenOutcome outcome{success_, static_cast<std::uint32_t>(queries_),
-                           static_cast<std::uint32_t>(dropped_)};
   if (window.size() < kGenWindowCapacity) {
-    window.push_back(outcome);
+    window.push_back(success_);
     window_next = window.size() % kGenWindowCapacity;
   } else {
-    window[window_next] = outcome;
+    window[window_next] = success_;
     window_next = (window_next + 1) % kGenWindowCapacity;
   }
 }
 
-namespace {
-
-/// Applies `fn` to the newest min(n, stored) outcomes of the ring.
-template <typename Fn>
-std::size_t for_newest(const std::vector<GenOutcome>& window,
-                       std::size_t next, std::size_t n, Fn&& fn) {
-  const std::size_t count = std::min(n, window.size());
-  for (std::size_t i = 0; i < count; ++i) {
-    // Walk backwards from the newest entry (next-1), wrapping.
-    const std::size_t idx = (next + window.size() - 1 - i) % window.size();
-    fn(window[idx]);
-  }
-  return count;
-}
-
-}  // namespace
-
 double GenStrategyStats::window_success_rate(std::size_t n) const {
+  const std::size_t count = std::min(n, window.size());
   std::size_t ok = 0;
-  const std::size_t count = for_newest(
-      window, window_next, n, [&](const GenOutcome& o) { ok += o.success; });
+  for (std::size_t i = 0; i < count; ++i) {
+    // Walk backwards from the newest entry (window_next-1), wrapping.
+    ok += window[(window_next + window.size() - 1 - i) % window.size()];
+  }
   return count == 0 ? 0.0
                     : static_cast<double>(ok) / static_cast<double>(count);
-}
-
-double GenStrategyStats::window_avg_queries(std::size_t n) const {
-  std::uint64_t total = 0;
-  const std::size_t count = for_newest(
-      window, window_next, n, [&](const GenOutcome& o) { total += o.queries; });
-  return count == 0 ? 0.0
-                    : static_cast<double>(total) / static_cast<double>(count);
 }
 
 GenStrategyStats& Ic3Stats::gen_strategy(const std::string& name) {

@@ -23,17 +23,11 @@
 
 namespace pilot::ic3 {
 
-/// One generalization as the dynamic-strategy policy sees it.
-struct GenOutcome {
-  bool success = false;        // dropped ≥ 1 literal (or predicted a lemma)
-  std::uint32_t queries = 0;   // SAT queries the attempt spent
-  std::uint32_t dropped = 0;   // literals removed from the input cube
-};
-
 /// Per-strategy generalization counters plus a sliding window of recent
 /// outcomes — the observable the SuYC25 switching policy reads.  Lifetime
 /// totals feed `pilot --stats` and the ResultsDb rows; the window ring
-/// holds the last kGenWindowCapacity outcomes.
+/// holds whether each of the last kGenWindowCapacity generalizations
+/// succeeded (dropped ≥ 1 literal or predicted a lemma).
 struct GenStrategyStats {
   std::string name;
   std::uint64_t attempts = 0;
@@ -44,15 +38,14 @@ struct GenStrategyStats {
   std::uint64_t switches = 0;
 
   static constexpr std::size_t kGenWindowCapacity = 64;
-  std::vector<GenOutcome> window;  // ring buffer, newest at window_next-1
+  std::vector<bool> window;  // ring buffer, newest at window_next-1
   std::size_t window_next = 0;
 
   void record(bool success_, std::uint64_t queries_, std::uint64_t dropped_);
 
   [[nodiscard]] std::size_t window_size() const { return window.size(); }
-  /// Success rate / mean queries over the newest min(n, stored) outcomes.
+  /// Success rate over the newest min(n, stored) outcomes.
   [[nodiscard]] double window_success_rate(std::size_t n) const;
-  [[nodiscard]] double window_avg_queries(std::size_t n) const;
 
   [[nodiscard]] double success_rate() const {
     return attempts == 0 ? 0.0
@@ -121,7 +114,7 @@ struct Ic3Stats {
 #undef PILOT_SAT_ABSORB
   }
 
-  // --- generalization strategies (gen_strategy.hpp) ---
+  // --- generalization strategies (generalizer.hpp) ---
   /// One entry per strategy that performed ≥ 1 generalization this run,
   /// in first-use order.
   std::vector<GenStrategyStats> gen_strategies;

@@ -11,7 +11,7 @@
 #include "check/checker.hpp"
 #include "circuits/families.hpp"
 #include "engine/backend.hpp"
-#include "ic3/gen_strategy.hpp"
+#include "ic3/generalizer.hpp"
 #include "ts/transition_system.hpp"
 
 namespace pilot::engine {
@@ -150,10 +150,12 @@ TEST(ConfigPatch, RejectsBadItemsNamingTheTokenAndTheValidKeys) {
       EXPECT_NE(msg.find(key), std::string::npos) << key << " in " << msg;
     }
   }
-  // A bad strategy lists the registered strategies; predict takes only a
-  // drop loop as its fallback.
-  for (const char* item : {"gen=nosuch", "gen=predict:dynamic",
-                           "gen=predict:predict", "gen=predict:x"}) {
+  // A bad strategy lists the strategies; predict takes only a drop loop as
+  // its fallback, and a ':' needs something after it (one spelling per
+  // recipe).
+  for (const char* item :
+       {"gen=nosuch", "gen=predict:dynamic", "gen=predict:predict",
+        "gen=predict:x", "gen=ctg:", "gen=predict:", "gen=dynamic:"}) {
     const std::string msg = patch_error({item});
     ASSERT_FALSE(msg.empty()) << item << " was accepted";
     EXPECT_NE(msg.find(item), std::string::npos) << msg;

@@ -1,37 +1,37 @@
-/// Strategy-registry tests: built-in registration, spec validation with
-/// actionable error messages, custom strategy plug-in, and the "dynamic"
-/// meta-strategy's switching policy driven by a scripted success-rate
-/// trace (the SuYC25 behaviour the ISSUE pins down: switch points must be
-/// a deterministic function of the observed outcomes).
+/// Gen-spec and dynamic-policy tests: the five strategy names, spec
+/// validation with actionable error messages, and the "dynamic" recipe's
+/// switching policy driven by a scripted success-rate trace (switch points
+/// must be a deterministic function of the observed outcomes), then inside
+/// a real engine run.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <memory>
+#include <string>
+#include <vector>
 
 #include "circuits/families.hpp"
 #include "ic3/engine.hpp"
-#include "ic3/gen_dynamic.hpp"
-#include "ic3/gen_strategy.hpp"
+#include "ic3/generalizer.hpp"
 #include "ic3/solver_manager.hpp"
 #include "ts/transition_system.hpp"
 
 namespace pilot::ic3 {
 namespace {
 
-/// A minimal live context over a real (small) transition system; the
-/// policy tests never issue SAT queries, but the context references must
-/// point at real objects.
-struct CtxFixture {
-  CtxFixture() : cc(circuits::token_ring_safe(4)),
-                 ts(ts::TransitionSystem::from_aig(cc.aig)),
-                 solvers(ts, cfg, stats) {
-    solvers.ensure_level(1);
-    frames.ensure_level(1);
-  }
+Config config_for(const std::string& gen_spec) {
+  Config cfg;
+  cfg.gen_spec = gen_spec;
+  return cfg;
+}
 
-  [[nodiscard]] GenContext ctx() {
-    return GenContext{ts, solvers, frames, cfg, stats};
-  }
+/// A Generalizer over a real (small) transition system; the policy tests
+/// never issue SAT queries, they drive the Ic3Stats windows directly.
+struct PolicyFixture {
+  explicit PolicyFixture(const std::string& gen_spec)
+      : cc(circuits::token_ring_safe(4)),
+        ts(ts::TransitionSystem::from_aig(cc.aig)),
+        cfg(config_for(gen_spec)),
+        solvers(ts, cfg, stats),
+        gen(ts, solvers, frames, cfg, stats) {}
 
   circuits::CircuitCase cc;
   ts::TransitionSystem ts;
@@ -39,25 +39,26 @@ struct CtxFixture {
   Ic3Stats stats;
   Frames frames;
   SolverManager solvers;
+  Generalizer gen;
 };
 
-TEST(GenRegistry, BuiltinsAreRegistered) {
-  for (const char* name : {"down", "ctg", "cav23", "predict", "dynamic"}) {
-    EXPECT_TRUE(gen_strategy_registered(name)) << name;
+TEST(GenSpec, NamesAreTheFiveBuiltins) {
+  EXPECT_EQ(gen_strategy_names(),
+            (std::vector<std::string>{"cav23", "ctg", "down", "dynamic",
+                                      "predict"}));
+  for (const std::string& name : gen_strategy_names()) {
+    EXPECT_NO_THROW(validate_gen_spec(name)) << name;
   }
-  EXPECT_FALSE(gen_strategy_registered("nope"));
-  const std::vector<std::string> names = gen_strategy_names();
-  EXPECT_GE(names.size(), 5u);
-  EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
+  EXPECT_THROW(validate_gen_spec("nope"), std::invalid_argument);
 }
 
-TEST(GenRegistry, UnknownNameErrorListsRegisteredStrategies) {
+TEST(GenSpec, UnknownNameErrorListsTheStrategies) {
   try {
     validate_gen_spec("no-such-strategy");
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
     const std::string msg = e.what();
-    // The offending token and the full registered list must both appear.
+    // The offending token and the full name list must both appear.
     EXPECT_NE(msg.find("no-such-strategy"), std::string::npos) << msg;
     for (const std::string& name : gen_strategy_names()) {
       EXPECT_NE(msg.find(name), std::string::npos) << name << " in " << msg;
@@ -65,7 +66,7 @@ TEST(GenRegistry, UnknownNameErrorListsRegisteredStrategies) {
   }
 }
 
-TEST(GenRegistry, SpecArgsAreValidated) {
+TEST(GenSpec, SpecArgsAreValidated) {
   EXPECT_NO_THROW(validate_gen_spec("dynamic"));
   EXPECT_NO_THROW(validate_gen_spec("dynamic:8"));
   EXPECT_NO_THROW(validate_gen_spec("dynamic:8,0.5"));
@@ -77,49 +78,10 @@ TEST(GenRegistry, SpecArgsAreValidated) {
   // Fixed strategies take no args.
   EXPECT_THROW(validate_gen_spec("ctg:3"), std::invalid_argument);
   EXPECT_NO_THROW(validate_gen_spec("ctg"));
-}
-
-TEST(GenRegistry, ParseDynamicArgs) {
-  EXPECT_FALSE(parse_dynamic_args("").window.has_value());
-  EXPECT_EQ(parse_dynamic_args("8").window.value(), 8u);
-  EXPECT_FALSE(parse_dynamic_args("8").threshold.has_value());
-  const DynamicArgs full = parse_dynamic_args("12,0.75");
-  EXPECT_EQ(full.window.value(), 12u);
-  EXPECT_DOUBLE_EQ(full.threshold.value(), 0.75);
-}
-
-TEST(GenRegistry, CustomStrategyPlugsIn) {
-  class EchoStrategy final : public GenStrategy {
-   public:
-    [[nodiscard]] const std::string& name() const override {
-      static const std::string kName = "echo-test";
-      return kName;
-    }
-    Cube generalize(const Cube& cube, const Cube& core, std::size_t,
-                    const Deadline&, const AddLemmaFn&) override {
-      (void)cube;
-      return core;  // no generalization at all — still sound
-    }
-  };
-  static bool registered = false;
-  if (!registered) {
-    register_gen_strategy("echo-test",
-                          [](const GenContext&, const std::string&) {
-                            return std::make_unique<EchoStrategy>();
-                          });
-    registered = true;
+  // One spelling per recipe: a ':' needs something after it.
+  for (const char* spec : {"ctg:", "predict:", "dynamic:"}) {
+    EXPECT_THROW(validate_gen_spec(spec), std::invalid_argument) << spec;
   }
-  EXPECT_TRUE(gen_strategy_registered("echo-test"));
-  EXPECT_THROW(register_gen_strategy("echo-test",
-                                     [](const GenContext&,
-                                        const std::string&) {
-                                       return std::unique_ptr<GenStrategy>();
-                                     }),
-               std::invalid_argument);
-  CtxFixture f;
-  const std::unique_ptr<GenStrategy> s =
-      make_gen_strategy("echo-test", f.ctx());
-  EXPECT_EQ(s->name(), "echo-test");
 }
 
 // ----- sliding-window statistics ---------------------------------------------
@@ -133,7 +95,6 @@ TEST(GenStrategyStatsTest, WindowTracksNewestOutcomes) {
   // Newest 10 are all successes; newest 20 are half.
   EXPECT_DOUBLE_EQ(s.window_success_rate(10), 1.0);
   EXPECT_DOUBLE_EQ(s.window_success_rate(20), 0.5);
-  EXPECT_DOUBLE_EQ(s.window_avg_queries(10), 1.0);
   EXPECT_EQ(s.attempts, 20u);
   EXPECT_EQ(s.successes, 10u);
   EXPECT_DOUBLE_EQ(s.avg_dropped(), 1.5);
@@ -161,49 +122,48 @@ TEST(GenStrategyStatsTest, RingWrapsAtCapacity) {
 /// Scripted success-rate trace: drive the windows directly (no SAT) and
 /// assert the exact switch points.
 TEST(DynamicStrategyPolicy, SwitchesAwayFromFailingStrategyAtBoundary) {
-  CtxFixture f;
-  DynamicStrategy dyn(f.ctx(), "4,0.5");
-  EXPECT_EQ(dyn.window(), 4u);
-  EXPECT_DOUBLE_EQ(dyn.threshold(), 0.5);
-  ASSERT_EQ(dyn.candidate_names(),
-            (std::vector<std::string>{"predict", "ctg", "cav23", "down"}));
-  EXPECT_EQ(dyn.active_name(), "predict");
+  PolicyFixture f("dynamic:4,0.5");
+  EXPECT_EQ(f.gen.active_name(), "predict");
 
   // Fewer than `window` fresh samples: never judged, never switched.
   f.stats.record_gen_outcome("predict", false, 3, 0);
   f.stats.record_gen_outcome("predict", false, 3, 0);
   f.stats.record_gen_outcome("predict", false, 3, 0);
-  EXPECT_FALSE(dyn.evaluate_switch());
-  EXPECT_EQ(dyn.active_name(), "predict");
+  EXPECT_FALSE(f.gen.evaluate_switch());
+  EXPECT_EQ(f.gen.active_name(), "predict");
 
   // Fourth failure completes the window below threshold → switch to the
-  // next unexplored candidate in rotation order ("ctg").
+  // next unexplored recipe in rotation order ("ctg").
   f.stats.record_gen_outcome("predict", false, 3, 0);
-  EXPECT_TRUE(dyn.evaluate_switch());
-  EXPECT_EQ(dyn.active_name(), "ctg");
+  EXPECT_TRUE(f.gen.evaluate_switch());
+  EXPECT_EQ(f.gen.active_name(), "ctg");
   EXPECT_EQ(f.stats.num_strategy_switches, 1u);
   EXPECT_EQ(f.stats.find_gen_strategy("predict")->switches, 1u);
 
-  // A healthy window keeps the strategy: 3/4 successes ≥ 0.5.
+  // A healthy window keeps the recipe: 3/4 successes ≥ 0.5.
   f.stats.record_gen_outcome("ctg", true, 2, 2);
   f.stats.record_gen_outcome("ctg", true, 2, 2);
   f.stats.record_gen_outcome("ctg", false, 5, 0);
   f.stats.record_gen_outcome("ctg", true, 2, 1);
-  EXPECT_FALSE(dyn.evaluate_switch());
-  EXPECT_EQ(dyn.active_name(), "ctg");
+  EXPECT_FALSE(f.gen.evaluate_switch());
+  EXPECT_EQ(f.gen.active_name(), "ctg");
 
   // Four fresh failures push the windowed rate (newest 4) below 0.5 →
-  // next unexplored candidate is "cav23".
+  // next unexplored recipe is "cav23", then "down".
   for (int i = 0; i < 4; ++i) f.stats.record_gen_outcome("ctg", false, 6, 0);
-  EXPECT_TRUE(dyn.evaluate_switch());
-  EXPECT_EQ(dyn.active_name(), "cav23");
+  EXPECT_TRUE(f.gen.evaluate_switch());
+  EXPECT_EQ(f.gen.active_name(), "cav23");
   EXPECT_EQ(f.stats.num_strategy_switches, 2u);
+  for (int i = 0; i < 4; ++i) {
+    f.stats.record_gen_outcome("cav23", false, 6, 0);
+  }
+  EXPECT_TRUE(f.gen.evaluate_switch());
+  EXPECT_EQ(f.gen.active_name(), "down");
 }
 
 TEST(DynamicStrategyPolicy, ExhaustedExplorationPicksBestWindowedRate) {
-  CtxFixture f;
-  DynamicStrategy dyn(f.ctx(), "2,0.5");
-  // Mark every candidate as explored with distinct windowed rates.
+  PolicyFixture f("dynamic:2,0.5");
+  // Mark every recipe as explored with distinct windowed rates.
   f.stats.record_gen_outcome("ctg", false, 1, 0);
   f.stats.record_gen_outcome("ctg", true, 1, 1);   // rate 0.5
   f.stats.record_gen_outcome("cav23", true, 1, 1);
@@ -213,38 +173,80 @@ TEST(DynamicStrategyPolicy, ExhaustedExplorationPicksBestWindowedRate) {
   // Active ("predict") fails its window → must switch to "cav23".
   f.stats.record_gen_outcome("predict", false, 1, 0);
   f.stats.record_gen_outcome("predict", false, 1, 0);
-  EXPECT_TRUE(dyn.evaluate_switch());
-  EXPECT_EQ(dyn.active_name(), "cav23");
+  EXPECT_TRUE(f.gen.evaluate_switch());
+  EXPECT_EQ(f.gen.active_name(), "cav23");
 }
 
 TEST(DynamicStrategyPolicy, FreshSampleGateBlocksImmediateReswitch) {
-  CtxFixture f;
-  DynamicStrategy dyn(f.ctx(), "2,0.5");
-  // Poison every candidate's window, then trigger the first switch.
-  for (const std::string& name : dyn.candidate_names()) {
+  PolicyFixture f("dynamic:2,0.5");
+  // Poison every recipe's window, then trigger the first switch.
+  for (const char* name : {"predict", "ctg", "cav23", "down"}) {
     f.stats.record_gen_outcome(name, false, 1, 0);
     f.stats.record_gen_outcome(name, false, 1, 0);
   }
-  EXPECT_TRUE(dyn.evaluate_switch());
-  const std::string second = dyn.active_name();
+  EXPECT_TRUE(f.gen.evaluate_switch());
+  const std::string second = f.gen.active_name();
   EXPECT_NE(second, "predict");
-  // Without fresh samples for the new active strategy, the policy must
+  // Without fresh samples for the new active recipe, the policy must
   // hold — its stale all-failure window alone cannot re-trigger.
-  EXPECT_FALSE(dyn.evaluate_switch());
-  EXPECT_EQ(dyn.active_name(), second);
+  EXPECT_FALSE(f.gen.evaluate_switch());
+  EXPECT_EQ(f.gen.active_name(), second);
+}
+
+TEST(DynamicStrategyPolicy, FixedSpecsNeverSwitch) {
+  for (const char* spec : {"down", "ctg", "cav23", "predict:down"}) {
+    PolicyFixture f(spec);
+    // A propagation boundary adds no gen[...] row: the --stats line lists
+    // only strategies that generalized.
+    f.gen.on_propagate();
+    EXPECT_TRUE(f.stats.gen_strategies.empty()) << spec;
+    const std::string name = f.gen.active_name();
+    for (int i = 0; i < 64; ++i) f.stats.record_gen_outcome(name, false, 1, 0);
+    EXPECT_FALSE(f.gen.evaluate_switch()) << spec;
+    EXPECT_EQ(f.gen.active_name(), name) << spec;
+    EXPECT_EQ(f.stats.num_strategy_switches, 0u) << spec;
+  }
+}
+
+/// The failures in a row after which a fresh `spec` generalizer leaves
+/// predict: its window.
+std::size_t failures_until_switch(const std::string& spec) {
+  PolicyFixture f(spec);
+  for (std::size_t n = 1; n <= GenStrategyStats::kGenWindowCapacity; ++n) {
+    f.stats.record_gen_outcome("predict", false, 1, 0);
+    if (f.gen.evaluate_switch()) return n;
+  }
+  return 0;
+}
+
+/// Whether a fresh `spec` generalizer leaves predict after `successes`
+/// successes and then failures up to `window` outcomes.
+bool leaves_predict(const std::string& spec, std::size_t window,
+                    std::size_t successes) {
+  PolicyFixture f(spec);
+  for (std::size_t i = 0; i < window; ++i) {
+    f.stats.record_gen_outcome("predict", i < successes, 1, 0);
+  }
+  return f.gen.evaluate_switch();
 }
 
 TEST(DynamicStrategyPolicy, SpecArgsOverrideTheDefaults) {
-  CtxFixture f;
-  const DynamicStrategy bare(f.ctx(), "");
-  EXPECT_EQ(bare.window(), 16u);
-  EXPECT_DOUBLE_EQ(bare.threshold(), 0.4);
-  const DynamicStrategy window_only(f.ctx(), "8");
-  EXPECT_EQ(window_only.window(), 8u);
-  EXPECT_DOUBLE_EQ(window_only.threshold(), 0.4);
-  const DynamicStrategy both(f.ctx(), "3,0.9");
-  EXPECT_EQ(both.window(), 3u);
-  EXPECT_DOUBLE_EQ(both.threshold(), 0.9);
+  // Bare "dynamic": a window of 16 against a 40% bar.
+  EXPECT_EQ(failures_until_switch("dynamic"), 16u);
+  EXPECT_FALSE(leaves_predict("dynamic", 16, 7));  // 0.4375
+  EXPECT_TRUE(leaves_predict("dynamic", 16, 6));   // 0.375
+  // A window alone keeps the default threshold.
+  EXPECT_EQ(failures_until_switch("dynamic:8"), 8u);
+  EXPECT_FALSE(leaves_predict("dynamic:8", 8, 4));  // 0.5
+  EXPECT_TRUE(leaves_predict("dynamic:8", 8, 3));   // 0.375
+  // A threshold alone keeps the default window.
+  EXPECT_EQ(failures_until_switch("dynamic:,0.5"), 16u);
+  EXPECT_FALSE(leaves_predict("dynamic:,0.5", 16, 8));
+  EXPECT_TRUE(leaves_predict("dynamic:,0.5", 16, 7));
+  // Both.
+  EXPECT_EQ(failures_until_switch("dynamic:3,0.9"), 3u);
+  EXPECT_FALSE(leaves_predict("dynamic:3,0.9", 3, 3));
+  EXPECT_TRUE(leaves_predict("dynamic:3,0.9", 3, 2));  // 0.67 < 0.9
 }
 
 // ----- end-to-end: the dynamic strategy inside the engine --------------------
@@ -273,6 +275,27 @@ TEST(DynamicStrategyEngine, SolvesBothVerdictClasses) {
     const Result r = engine.check(Deadline::in_seconds(60));
     EXPECT_EQ(r.verdict, Verdict::kUnsafe);
   }
+}
+
+TEST(DynamicStrategyEngine, SwitchesInsideAnEngineRun) {
+  // The FIFO's first predict window fails, so the run leaves predict for
+  // ctg; exact counts are the SAT layer's business and are not pinned.
+  const auto cc = circuits::fifo_safe(6, 10);
+  const ts::TransitionSystem ts = ts::TransitionSystem::from_aig(cc.aig);
+  Engine engine(ts, config_for("dynamic:4,0.5"));
+  const Result r = engine.check(Deadline::in_seconds(60));
+  EXPECT_EQ(r.verdict, Verdict::kSafe);
+  EXPECT_GE(r.stats.num_strategy_switches, 1u);
+  ASSERT_FALSE(r.stats.gen_strategies.empty());
+  EXPECT_EQ(r.stats.gen_strategies.front().name, "predict");
+  std::uint64_t switches = 0;
+  std::uint64_t attempts = 0;
+  for (const GenStrategyStats& s : r.stats.gen_strategies) {
+    switches += s.switches;
+    attempts += s.attempts;
+  }
+  EXPECT_EQ(switches, r.stats.num_strategy_switches);
+  EXPECT_EQ(attempts, r.stats.num_generalizations);
 }
 
 TEST(DynamicStrategyEngine, UnknownSpecThrowsAtConstruction) {

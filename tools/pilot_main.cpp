@@ -41,7 +41,7 @@
 #include "corpus/results_db.hpp"
 #include "engine/backend.hpp"
 #include "engine/portfolio.hpp"
-#include "ic3/gen_strategy.hpp"
+#include "ic3/generalizer.hpp"
 #include "ic3/witness.hpp"
 #include "obs/trace.hpp"
 #include "serve/advisor.hpp"
