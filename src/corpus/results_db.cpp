@@ -21,8 +21,14 @@ namespace {
 /// `--set` keys older builds accepted and this one retired.  Each selected
 /// only a verdict-preserving solve plan, so a row that carries one still
 /// reproduces its verdicts without it.
-constexpr std::array<std::string_view, 3> kRetiredKeys = {
-    "gen_batch", "gen_ternary_filter", "sat_inprocess"};
+constexpr std::array<std::string_view, 7> kRetiredKeys = {
+    "clear_failure_push_on_propagate",
+    "gen_batch",
+    "gen_ternary_filter",
+    "predict_core_shrink",
+    "predict_max_extra_lits",
+    "predict_refine_diff",
+    "sat_inprocess"};
 
 }  // namespace
 

@@ -9,8 +9,9 @@
 /// predecessors by ternary simulation (ic3/lifter.hpp).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -24,7 +25,7 @@ class LemmaBus;  // ic3/lemma_bus.hpp — portfolio lemma-exchange endpoint
 
 struct Config {
   /// Generalization-strategy spec: "down", "ctg", "cav23",
-  /// "predict[:down|ctg|cav23]" or "dynamic[:window,threshold]"
+  /// "predict[:down|ctg|cav23]" or "dynamic[:window[,threshold]]"
   /// (generalizer.hpp).
   std::string gen_spec = "ctg";
 
@@ -39,23 +40,6 @@ struct Config {
   /// blocked obligation and at propagation boundaries, where the
   /// `--progress` heartbeat thread reads them. Null = no reporting.
   obs::ProgressSink* progress = nullptr;
-
-  /// When a predicted candidate is proven, additionally shrink it with the
-  /// returned unsat core (sound strengthening the paper does not do;
-  /// off by default for faithfulness — ablation knob).
-  bool predict_core_shrink = false;
-
-  /// Extension ablation: allow predicted candidates with up to this many
-  /// literals added to the parent lemma (the paper uses exactly 1; Eq. 6).
-  int predict_max_extra_lits = 1;
-
-  /// Clear the failure_push table at each propagation (paper line 44).
-  /// Ablation: keeping stale entries trades accuracy for hit rate.
-  bool clear_failure_push_on_propagate = true;
-
-  /// On failed prediction queries, refine the diff set with the new
-  /// counterexample (paper line 27).  Ablation knob.
-  bool predict_refine_diff = true;
 
   // --- engine behaviour ---
   /// Rebuild the main solver after this many retired temporary activation
@@ -77,8 +61,8 @@ struct Config {
 /// A validated engine-settings patch: the one way a caller changes engine
 /// settings on top of the Config an engine's registry name selects
 /// (`--set key=value` on the CLIs, CheckOptions::patch, the "set" field
-/// of results rows).  Only parse() builds one, checking every key against
-/// the table in config.cpp and every value against its range, so a patch
+/// of results rows).  The one settable key is `gen`, the strategy spec.
+/// Only parse() builds one, checking the key and the spec, so a patch
 /// that exists is valid.  Each backend applies it once, in its
 /// constructor; only IC3-family engines read it.
 class ConfigPatch {
@@ -88,20 +72,21 @@ class ConfigPatch {
   /// the valid keys (for gen, also the strategy names).
   static ConfigPatch parse(const std::vector<std::string>& items);
 
-  /// Every settable key, sorted.
+  /// Every settable key, sorted: {"gen"}.
   [[nodiscard]] static std::vector<std::string> keys();
 
   /// Sets every patched field of `cfg`.
   void apply(Config& cfg) const;
 
   /// Canonical "key=value" items, sorted by key: parse(items()) == *this.
+  /// A gen spec is stored in its one spelling (canonical_gen_spec).
   [[nodiscard]] std::vector<std::string> items() const;
 
-  [[nodiscard]] bool empty() const { return values_.empty(); }
+  [[nodiscard]] bool empty() const { return !gen_spec_.has_value(); }
   bool operator==(const ConfigPatch&) const = default;
 
  private:
-  std::map<std::string, std::string> values_;  // key -> canonical value
+  std::optional<std::string> gen_spec_;  // canonical
 };
 
 }  // namespace pilot::ic3

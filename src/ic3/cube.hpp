@@ -77,7 +77,7 @@ struct CubeHash {
   std::size_t operator()(const Cube& c) const { return c.hash(); }
 };
 
-/// Key of the paper's failure_push table: (lemma cube, level).
+/// Key of the CTP table of failed pushes (Frames): (lemma cube, level).
 struct CubeLevelKey {
   Cube cube;
   std::size_t level = 0;

@@ -190,16 +190,15 @@ bool Engine::block(int root_index, const Deadline& deadline) {
           [this](const Cube& c, std::size_t lv) { add_lemma(c, lv); });
 
       // Push the lemma as high as it proves inductive (paper lines 36-38);
-      // on failure hand the CTP successor to the strategy.
+      // on failure record the CTP.
       std::size_t j = ob.level;
       while (j < frames_.top_level()) {
         if (!solvers_.relative_inductive(lemma, j,
                                          /*cube_clause_in_frame=*/false,
                                          nullptr, deadline)) {
-          if (generalizer_.wants_push_failures()) {
-            generalizer_.on_push_failure(
-                lemma, j, solvers_.model_state(/*primed=*/true));
-          }
+          frames_.record_push_ctp(lemma, j,
+                                  solvers_.model_state(/*primed=*/false),
+                                  solvers_.model_state(/*primed=*/true));
           break;
         }
         ++j;
@@ -249,11 +248,11 @@ void Engine::publish_progress() {
 
 bool Engine::propagate(const Deadline& deadline) {
   obs::PhaseScope phase(&stats_.phases, obs::Phase::kPropagate);
-  // Propagation boundary: strategies clear their failure tables (paper
-  // line 44) and the dynamic meta-strategy evaluates its switching policy.
-  generalizer_.on_propagate();
-  const std::uint64_t pass_start = frames_.install_count();
-  PushCtpMap kept;  // this pass's CTPs; entries not visited again die
+  // Propagation boundary: the dynamic policy evaluates its switch.
+  (void)generalizer_.evaluate_switch();
+  // The CTPs of the last pass and of the pushes since; this pass records
+  // every push it fails anew.
+  PushCtpMap cached = frames_.take_push_ctps();
   bool fixpoint = false;
   for (std::size_t i = 1; i < frames_.top_level() && !fixpoint; ++i) {
     // Only its own push takes a lemma out of delta(i) during the pass: no
@@ -262,11 +261,10 @@ bool Engine::propagate(const Deadline& deadline) {
     const std::vector<Cube> snapshot = frames_.delta(i);
     for (const Cube& c : snapshot) {
       if (cancel_ != nullptr && cancel_->stop_requested()) throw TimeoutError{};
-      CubeLevelKey key{c, i};
-      if (auto cached = push_ctps_.extract(key); !cached.empty()) {
+      if (auto entry = cached.extract(CubeLevelKey{c, i}); !entry.empty()) {
         ++stats_.num_push_ctp_revalidations;
-        PushCtp& ctp = cached.mapped();
-        if (ctp_still_valid(ctp, i)) {
+        PushCtp& ctp = entry.mapped();
+        if (frames_.ctp_still_valid(ctp, i)) {
           // The cached model still satisfies R_i ∧ T ∧ c′: the push fails
           // again, so skip its solve.
           ++stats_.num_push_skipped_by_ctp;
@@ -275,11 +273,8 @@ bool Engine::propagate(const Deadline& deadline) {
               c, i, /*cube_clause_in_frame=*/true, nullptr, deadline);
           assert(!pushed && "a cached CTP skipped a push that succeeds");
 #endif
-          ctp.stamp = frames_.install_count();
-          if (generalizer_.wants_push_failures()) {
-            generalizer_.on_push_failure(c, i, ctp.successor);
-          }
-          kept.insert(std::move(cached));
+          frames_.record_push_ctp(c, i, std::move(ctp.state),
+                                  std::move(ctp.successor));
           continue;
         }
       }
@@ -291,35 +286,13 @@ bool Engine::propagate(const Deadline& deadline) {
         ++stats_.num_push_successes;
       } else {
         // Record the counterexample to propagation (paper lines 49-50).
-        PushCtp ctp{solvers_.model_state(/*primed=*/false),
-                    solvers_.model_state(/*primed=*/true),
-                    frames_.install_count()};
-        if (generalizer_.wants_push_failures()) {
-          generalizer_.on_push_failure(c, i, ctp.successor);
-        }
-        kept.emplace(std::move(key), std::move(ctp));
+        frames_.record_push_ctp(c, i, solvers_.model_state(/*primed=*/false),
+                                solvers_.model_state(/*primed=*/true));
       }
     }
     if (frames_.delta(i).empty()) fixpoint = true;
   }
-  push_ctps_ = std::move(kept);
-  // Every kept entry is stamped at or after pass_start.
-  frames_.forget_installs_before(pass_start);
   return fixpoint;
-}
-
-bool Engine::ctp_still_valid(const PushCtp& ctp, std::size_t level) const {
-  for (const LemmaInstall& install : frames_.installs_since(ctp.stamp)) {
-    if (install.level < level || install.from >= level) continue;
-    // s satisfies the clause ¬d iff it falsifies a literal of d.  s may be
-    // partial (model_state drops unassigned latches), so test for ¬l in s
-    // rather than d ⊄ s.
-    const auto falsified = [&](Lit l) { return ctp.state.contains(~l); };
-    if (std::none_of(install.cube.begin(), install.cube.end(), falsified)) {
-      return false;
-    }
-  }
-  return true;
 }
 
 Trace Engine::build_trace(int leaf_index) const {

@@ -52,6 +52,40 @@ void Frames::forget_installs_before(std::uint64_t stamp) {
   log_base_ = stamp;
 }
 
+void Frames::record_push_ctp(const Cube& lemma, std::size_t level,
+                             Cube state, Cube successor) {
+  push_ctps_[CubeLevelKey{lemma, level}] =
+      PushCtp{std::move(state), std::move(successor), install_count()};
+}
+
+const PushCtp* Frames::push_ctp(const Cube& lemma, std::size_t level) const {
+  const auto it = push_ctps_.find(CubeLevelKey{lemma, level});
+  return it == push_ctps_.end() ? nullptr : &it->second;
+}
+
+bool Frames::ctp_still_valid(const PushCtp& ctp, std::size_t level) const {
+  for (const LemmaInstall& install : installs_since(ctp.stamp)) {
+    if (install.level < level || install.from >= level) continue;
+    // s satisfies the clause ¬d iff it falsifies a literal of d.  s may be
+    // partial (model_state drops unassigned latches), so test for ¬l in s
+    // rather than d ⊄ s.
+    const auto falsified = [&](Lit l) { return ctp.state.contains(~l); };
+    if (std::none_of(install.cube.begin(), install.cube.end(), falsified)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+PushCtpMap Frames::take_push_ctps() {
+  std::uint64_t oldest = install_count();
+  for (const auto& [key, ctp] : push_ctps_) {
+    oldest = std::min(oldest, ctp.stamp);
+  }
+  forget_installs_before(oldest);
+  return std::exchange(push_ctps_, {});
+}
+
 bool Frames::subsumed_at(const Cube& cube, std::size_t level) const {
   for (std::size_t j = level; j < delta_.size(); ++j) {
     for (const Cube& d : delta_[j]) {

@@ -17,11 +17,21 @@
 /// (push_lemma).  The install log records each one, so a caller that
 /// stamped the frames with install_count() can see exactly which lemmas
 /// were installed since.
+///
+/// The frames also keep the one table of counterexamples to propagation
+/// (CTPs), the paper's failure_push table.  A failed push of lemma c from
+/// level i leaves a predecessor state s in R_i whose successor t lies in c.
+/// The table keeps (s, t) by (c, i) with the install stamp of the failure.
+/// R_i only gets stronger and T is fixed, so the push fails again as long
+/// as s falsifies a literal of every lemma that R_i gained since the stamp
+/// (ctp_still_valid).  The engine's propagation pass skips such pushes;
+/// the predictor reads t (Algorithm 2).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <unordered_map>
 #include <vector>
 
 #include "ic3/cube.hpp"
@@ -36,6 +46,17 @@ struct LemmaInstall {
   Cube cube;
   std::size_t from = 0;
 };
+
+/// The CTP of a failed push: the full predecessor and successor states of
+/// the SAT model, and the install_count() when it was last known to be a
+/// model of R_level ∧ T ∧ c′.
+struct PushCtp {
+  Cube state;
+  Cube successor;
+  std::uint64_t stamp = 0;
+};
+
+using PushCtpMap = std::unordered_map<CubeLevelKey, PushCtp, CubeLevelKeyHash>;
 
 class Frames {
  public:
@@ -75,6 +96,27 @@ class Frames {
   /// Drops the log entries before `stamp`, which no caller will ask for.
   void forget_installs_before(std::uint64_t stamp);
 
+  /// Records the CTP (`state`, `successor`) of a failed push of `lemma`
+  /// from `level`, stamped with install_count().  Overwrites the entry of
+  /// (lemma, level): the latest CTP is the freshest.
+  void record_push_ctp(const Cube& lemma, std::size_t level, Cube state,
+                       Cube successor);
+
+  /// The recorded CTP of (lemma, level), or null.
+  [[nodiscard]] const PushCtp* push_ctp(const Cube& lemma,
+                                        std::size_t level) const;
+
+  /// True iff `ctp.state` still lies in R_level: it falsifies a literal of
+  /// every lemma that R_level gained since `ctp.stamp`.
+  [[nodiscard]] bool ctp_still_valid(const PushCtp& ctp,
+                                     std::size_t level) const;
+
+  /// Starts a propagation pass: hands over the CTP table and empties it.
+  /// The pass records again every push it fails, so the entries it does
+  /// not visit die.  The installs before the oldest handed-over stamp are
+  /// forgotten.
+  [[nodiscard]] PushCtpMap take_push_ctps();
+
   /// True iff some lemma with top level ≥ `level` blocks `cube`
   /// (i.e. its cube is a subset of `cube`, Theorem 3.4).
   [[nodiscard]] bool subsumed_at(const Cube& cube, std::size_t level) const;
@@ -91,6 +133,7 @@ class Frames {
   std::vector<std::vector<Cube>> delta_;
   std::vector<LemmaInstall> log_;  // installs log_base_, log_base_ + 1, ...
   std::uint64_t log_base_ = 0;
+  PushCtpMap push_ctps_;
 };
 
 }  // namespace pilot::ic3

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <charconv>
 #include <stdexcept>
 #include <string_view>
 #include <unordered_set>
@@ -56,8 +57,9 @@ void parse_dynamic_args(const std::string& args, std::size_t& window,
       std::size_t consumed = 0;
       const double t = std::stod(threshold_text, &consumed);
       if (consumed != threshold_text.size()) throw std::invalid_argument("");
-      if (t < 0.0 || t > 1.0) throw std::out_of_range("");
-      threshold = t;
+      // Written so that NaN, which compares false, is rejected too.
+      if (!(t >= 0.0 && t <= 1.0)) throw std::out_of_range("");
+      threshold = t + 0.0;  // -0 becomes 0, so it prints as "0"
     }
   } catch (const std::exception&) {
     throw std::invalid_argument(
@@ -77,8 +79,8 @@ const std::vector<std::string>& gen_strategy_names() {
   return kNames;
 }
 
-void validate_gen_spec(const std::string& spec) {
-  (void)Generalizer::parse(spec);
+std::string canonical_gen_spec(const std::string& spec) {
+  return Generalizer::parse(spec).text;
 }
 
 Generalizer::Spec Generalizer::parse(const std::string& spec) {
@@ -101,12 +103,17 @@ Generalizer::Spec Generalizer::parse(const std::string& spec) {
   if (!known) {
     reject_listing_names("unknown generalization strategy '" + name + "'");
   }
-  // One spelling per recipe: "ctg:" would be a second "ctg".
+  // One spelling per recipe: "ctg:" would be a second "ctg", and
+  // "dynamic:8," a second "dynamic:8".
   if (colon != std::string::npos && args.empty()) {
     reject_listing_names("gen strategy spec '" + spec +
                          "' has nothing after ':'");
   }
-  Spec out{{}, kDefaultWindow, kDefaultThreshold};
+  if (!args.empty() && args.back() == ',') {
+    reject_listing_names("gen strategy spec '" + spec +
+                         "' has nothing after ','");
+  }
+  Spec out{{}, kDefaultWindow, kDefaultThreshold, name};
   if (name == "dynamic") {
     parse_dynamic_args(args, out.window, out.threshold);
     // Rotation order: prediction first (the paper's contribution, cheapest
@@ -115,6 +122,18 @@ Generalizer::Spec Generalizer::parse(const std::string& spec) {
                  {"ctg", DropMode::kCtg, false},
                  {"cav23", DropMode::kCav23, false},
                  {"down", DropMode::kDown, false}};
+    // Positional args: the window is printed whenever the threshold is.
+    const bool default_threshold = out.threshold == kDefaultThreshold;
+    if (out.window != kDefaultWindow || !default_threshold) {
+      out.text += ":" + std::to_string(out.window);
+    }
+    if (!default_threshold) {
+      std::array<char, 32> buf{};
+      const auto end =
+          std::to_chars(buf.data(), buf.data() + buf.size(), out.threshold)
+              .ptr;  // the shortest text that reads back the same double
+      out.text += "," + std::string(buf.data(), end);
+    }
   } else if (name == "predict") {
     // The drop loop behind the prediction; bare "predict" runs ctgDown.
     const auto loop = drop_loop(args.empty() ? "ctg" : args);
@@ -124,6 +143,7 @@ Generalizer::Spec Generalizer::parse(const std::string& spec) {
           args + "')");
     }
     out.plans = {{"predict", loop->second, true}};
+    if (loop->second != DropMode::kCtg) out.text += ":" + args;
   } else {
     if (!args.empty()) {
       throw std::invalid_argument("gen strategy '" + name +
@@ -140,12 +160,11 @@ Generalizer::Generalizer(const ts::TransitionSystem& ts,
     : ts_(ts),
       solvers_(solvers),
       frames_(frames),
-      cfg_(cfg),
       stats_(stats),
       spec_(parse(cfg.gen_spec)) {
   if (std::any_of(spec_.plans.begin(), spec_.plans.end(),
                   [](const Plan& p) { return p.predict; })) {
-    predictor_.emplace(solvers, frames, cfg, stats);
+    predictor_.emplace(solvers, frames, stats);
   }
 }
 
@@ -183,20 +202,6 @@ Cube Generalizer::generalize(const Cube& cube, const Cube& core,
   stats_.record_gen_outcome(active_name(), dropped > 0 || predicted, spent,
                             dropped);
   return lemma;
-}
-
-void Generalizer::on_push_failure(const Cube& lemma, std::size_t level,
-                                  Cube ctp) {
-  if (predictor_.has_value()) {
-    predictor_->record_push_failure(lemma, level, std::move(ctp));
-  }
-}
-
-void Generalizer::on_propagate() {
-  if (predictor_.has_value() && cfg_.clear_failure_push_on_propagate) {
-    predictor_->clear();  // paper line 44: reconstruct the hash table
-  }
-  (void)evaluate_switch();
 }
 
 std::vector<Lit> Generalizer::order_literals(const Cube& cube,

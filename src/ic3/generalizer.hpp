@@ -21,8 +21,8 @@
 /// N_g, and records each outcome into the per-strategy sliding windows in
 /// Ic3Stats that the dynamic policy and `pilot --stats` read.  The engine
 /// (engine.cpp) has no recipe-specific branching: it calls generalize(),
-/// hands failed pushes to on_push_failure() when wants_push_failures(), and
-/// calls on_propagate() at every propagation boundary.
+/// and evaluate_switch() at every propagation boundary.  The predictor
+/// reads the CTPs of failed pushes from the frames (frames.hpp).
 ///
 /// Each literal dropped costs one relative-induction SAT query, so |cube|
 /// queries per generalization in the worst case: the cost the paper's
@@ -52,15 +52,17 @@ using AddLemmaFn = std::function<void(const Cube&, std::size_t)>;
 /// The five strategy names ("cav23", "ctg", "down", "dynamic", "predict").
 [[nodiscard]] const std::vector<std::string>& gen_strategy_names();
 
-/// Checks that `spec` is a well-formed gen spec.  Throws
-/// std::invalid_argument naming the offending token (and, for a bad name,
-/// listing the strategies) — the one error message shared by every CLI.
-void validate_gen_spec(const std::string& spec);
+/// The one spelling of gen spec `spec`: canonical numbers, default
+/// arguments left out ("dynamic:16,0.4" → "dynamic", "predict:ctg" →
+/// "predict").  Throws std::invalid_argument naming the offending token
+/// (and, for a bad name, listing the strategies) — the one error message
+/// shared by every CLI.
+[[nodiscard]] std::string canonical_gen_spec(const std::string& spec);
 
 class Generalizer {
  public:
   /// Parses Config::gen_spec; throws std::invalid_argument like
-  /// validate_gen_spec.
+  /// canonical_gen_spec.
   Generalizer(const ts::TransitionSystem& ts, SolverManager& solvers,
               Frames& frames, const Config& cfg, Ic3Stats& stats);
 
@@ -72,31 +74,15 @@ class Generalizer {
   Cube generalize(const Cube& cube, const Cube& core, std::size_t level,
                   const Deadline& deadline, const AddLemmaFn& add_lemma);
 
-  /// True when the spec predicts and so consumes counterexamples to
-  /// propagation — the engine extracts the successor model only then.
-  [[nodiscard]] bool wants_push_failures() const {
-    return predictor_.has_value();
-  }
-
-  /// A push of `lemma` from `level` failed; `ctp` is the witnessing
-  /// successor state (over current-step variables).  The predictor records
-  /// it whichever recipe is active, so a switch to predict starts with
-  /// fresh parents.
-  void on_push_failure(const Cube& lemma, std::size_t level, Cube ctp);
-
-  /// Propagation boundary: the predictor clears its failure table (paper
-  /// line 44), then the dynamic policy runs evaluate_switch().
-  void on_propagate();
-
   /// The Ic3Stats::gen_strategies name of the active recipe: "predict" for
   /// any predict plan, else its drop loop's name.
   [[nodiscard]] const std::string& active_name() const {
     return plan().name;
   }
 
-  /// One evaluation of the dynamic policy against the Ic3Stats windows;
-  /// returns true when the active recipe changed (statistics updated
-  /// accordingly).  Always false for a fixed spec.
+  /// One evaluation of the dynamic policy against the Ic3Stats windows, at
+  /// a propagation boundary; returns true when the active recipe changed
+  /// (statistics updated accordingly).  Always false for a fixed spec.
   bool evaluate_switch();
 
  private:
@@ -114,16 +100,18 @@ class Generalizer {
   };
 
   /// A parsed gen spec: one plan, or dynamic's rotation — predict
-  /// (= predict:ctg), ctg, cav23, down — with its window and threshold.
+  /// (= predict:ctg), ctg, cav23, down — with its window and threshold,
+  /// and the spec's canonical spelling.
   struct Spec {
     std::vector<Plan> plans;
     std::size_t window;
     double threshold;
+    std::string text;
   };
 
   /// The one gen-spec parser; throws std::invalid_argument.
   static Spec parse(const std::string& spec);
-  friend void validate_gen_spec(const std::string& spec);
+  friend std::string canonical_gen_spec(const std::string& spec);
 
   [[nodiscard]] const Plan& plan() const { return spec_.plans[active_]; }
 
@@ -139,7 +127,6 @@ class Generalizer {
   const ts::TransitionSystem& ts_;
   SolverManager& solvers_;
   Frames& frames_;
-  const Config& cfg_;
   Ic3Stats& stats_;
   const Spec spec_;
   std::size_t active_ = 0;  // index into spec_.plans

@@ -4,16 +4,8 @@
 
 namespace pilot::ic3 {
 
-Predictor::Predictor(SolverManager& solvers, Frames& frames,
-                     const Config& cfg, Ic3Stats& stats)
-    : solvers_(solvers), frames_(frames), cfg_(cfg), stats_(stats) {}
-
-void Predictor::record_push_failure(const Cube& lemma, std::size_t level,
-                                    Cube t) {
-  failure_push_[CubeLevelKey{lemma, level}] = std::move(t);
-}
-
-void Predictor::clear() { failure_push_.clear(); }
+Predictor::Predictor(SolverManager& solvers, Frames& frames, Ic3Stats& stats)
+    : solvers_(solvers), frames_(frames), stats_(stats) {}
 
 std::optional<Cube> Predictor::predict(const Cube& b, std::size_t level,
                                        const Deadline& deadline) {
@@ -23,12 +15,11 @@ std::optional<Cube> Predictor::predict(const Cube& b, std::size_t level,
   bool found_failed_parent = false;
   std::optional<Cube> predicted;
   for (const Cube& p : parents) {
-    if (failure_push_.find(CubeLevelKey{p, level - 1}) ==
-        failure_push_.end()) {
-      continue;  // lines 12-13: no recorded CTP for this parent
-    }
+    const PushCtp* ctp = frames_.push_ctp(p, level - 1);
+    if (ctp == nullptr) continue;  // lines 12-13: no recorded CTP
     found_failed_parent = true;
-    predicted = try_parent(b, p, level, deadline);
+    // Line 15: the diff set of Definition 3.1.
+    predicted = try_parent(b, p, b.diff(ctp->successor), level, deadline);
     if (predicted.has_value()) break;
   }
   if (found_failed_parent) ++stats_.num_found_failed_parents;  // N_fp
@@ -36,24 +27,21 @@ std::optional<Cube> Predictor::predict(const Cube& b, std::size_t level,
 }
 
 std::optional<Cube> Predictor::try_parent(const Cube& b, const Cube& p,
-                                          std::size_t level,
+                                          const Cube& ds, std::size_t level,
                                           const Deadline& deadline) {
-  const CubeLevelKey key{p, level - 1};
-  const Cube& t = failure_push_.at(key);
-  Cube ds = b.diff(t);  // line 15: diff set of Definition 3.1
-
   if (ds.empty()) {
     // Lines 16-20: b and t intersect (Theorem 3.2) — blocking b may have
     // already blocked the CTP; retry pushing the parent lemma itself.
     ++stats_.num_prediction_queries;  // N_p
-    Cube core;
     if (solvers_.relative_inductive(p, level - 1,
-                                    /*cube_clause_in_frame=*/true, &core,
+                                    /*cube_clause_in_frame=*/true, nullptr,
                                     deadline)) {
       ++stats_.num_successful_predictions;  // N_sp
-      return cfg_.predict_core_shrink ? core : p;
+      return p;
     }
-    failure_push_[key] = solvers_.model_state(/*primed=*/true);  // line 20
+    frames_.record_push_ctp(p, level - 1,  // line 20
+                            solvers_.model_state(/*primed=*/false),
+                            solvers_.model_state(/*primed=*/true));
     return std::nullopt;
   }
 
@@ -64,42 +52,18 @@ std::optional<Cube> Predictor::try_parent(const Cube& b, const Cube& p,
     worklist.erase(worklist.begin());
     const Cube cand = p.with_lit(d);
     ++stats_.num_prediction_queries;  // N_p
-    Cube core;
     if (solvers_.relative_inductive(cand, level - 1,
-                                    /*cube_clause_in_frame=*/false, &core,
+                                    /*cube_clause_in_frame=*/false, nullptr,
                                     deadline)) {
       // One literal longer than the parent: treated as high quality, no
       // further variable dropping (paper §3.3 item 3).
       ++stats_.num_successful_predictions;  // N_sp
-      return cfg_.predict_core_shrink ? core : cand;
+      return cand;
     }
-    if (cfg_.predict_refine_diff) {
-      // Line 27: the counterexample is likely another CTP of p; prune
-      // candidates it also defeats: ds := ds ∩ diff(b, model).
-      const Cube fresh = b.diff(solvers_.model_state(/*primed=*/true));
-      std::erase_if(worklist,
-                    [&](Lit l) { return !fresh.contains(l); });
-    }
-  }
-
-  // Ablation (predict_max_extra_lits > 1): try a bounded number of
-  // two-literal extensions before giving up.
-  if (cfg_.predict_max_extra_lits >= 2 && ds.size() >= 2) {
-    int budget = 8;
-    for (std::size_t i = 0; i < ds.size() && budget > 0; ++i) {
-      for (std::size_t j = i + 1; j < ds.size() && budget > 0; ++j) {
-        const Cube cand = p.with_lit(ds[i]).with_lit(ds[j]);
-        --budget;
-        ++stats_.num_prediction_queries;
-        Cube core;
-        if (solvers_.relative_inductive(cand, level - 1,
-                                        /*cube_clause_in_frame=*/false,
-                                        &core, deadline)) {
-          ++stats_.num_successful_predictions;
-          return cfg_.predict_core_shrink ? core : cand;
-        }
-      }
-    }
+    // Line 27: the counterexample is likely another CTP of p; prune
+    // candidates it also defeats: ds := ds ∩ diff(b, model).
+    const Cube fresh = b.diff(solvers_.model_state(/*primed=*/true));
+    std::erase_if(worklist, [&](Lit l) { return !fresh.contains(l); });
   }
   return std::nullopt;
 }

@@ -4,8 +4,9 @@
 ///
 /// When pushing the lemma ¬p from F_{i} to F_{i+1} fails, the SAT model
 /// exhibits a counterexample to propagation (CTP): a successor state t with
-/// t ⊨ p.  The failed push is recorded in the `failure_push` table keyed by
-/// (lemma, level).
+/// t ⊨ p.  Every failed push is recorded in the frames' CTP table keyed by
+/// (lemma, level) (frames.hpp), which stands for the paper's failure_push
+/// table; the predictor reads t from it.
 ///
 /// Later, when a cube b must be generalized at level i, each parent lemma
 /// p ⊆ b of frame i-1 with a recorded CTP t yields a *predicted* lemma:
@@ -18,9 +19,7 @@
 #pragma once
 
 #include <optional>
-#include <unordered_map>
 
-#include "ic3/config.hpp"
 #include "ic3/cube.hpp"
 #include "ic3/frames.hpp"
 #include "ic3/solver_manager.hpp"
@@ -31,20 +30,7 @@ namespace pilot::ic3 {
 
 class Predictor {
  public:
-  Predictor(SolverManager& solvers, Frames& frames, const Config& cfg,
-            Ic3Stats& stats);
-
-  /// Records the CTP successor state `t` of a failed push of `lemma` at
-  /// `level` (overwrites any previous entry — the latest CTP is freshest).
-  void record_push_failure(const Cube& lemma, std::size_t level, Cube t);
-
-  /// Drops every recorded failure (paper: the table is cleared and
-  /// reconstructed at each propagation).
-  void clear();
-
-  [[nodiscard]] std::size_t table_size() const {
-    return failure_push_.size();
-  }
+  Predictor(SolverManager& solvers, Frames& frames, Ic3Stats& stats);
 
   /// Attempts to predict a lemma blocking cube `b` at `level` without
   /// dropping variables.  Returns the validated cube on success.
@@ -53,14 +39,14 @@ class Predictor {
                               const Deadline& deadline);
 
  private:
+  /// Lines 15-27 for parent `p` of `b` with diff set `ds` = diff(b, t).
   std::optional<Cube> try_parent(const Cube& b, const Cube& p,
-                                 std::size_t level, const Deadline& deadline);
+                                 const Cube& ds, std::size_t level,
+                                 const Deadline& deadline);
 
   SolverManager& solvers_;
   Frames& frames_;
-  const Config& cfg_;
   Ic3Stats& stats_;
-  std::unordered_map<CubeLevelKey, Cube, CubeLevelKeyHash> failure_push_;
 };
 
 }  // namespace pilot::ic3

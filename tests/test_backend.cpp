@@ -139,10 +139,7 @@ std::string patch_error(const std::vector<std::string>& items) {
 }
 
 TEST(ConfigPatch, RejectsBadItemsNamingTheTokenAndTheValidKeys) {
-  for (const char* item :
-       {"nosuch=1", "predict_max_extra_lits", "predict_max_extra_lits=0",
-        "predict_max_extra_lits=2x", "predict_refine_diff=maybe",
-        "predict_max_extra_lits=3"}) {
+  for (const char* item : {"nosuch=1", "gen", "Gen=down", "=down"}) {
     const std::string msg = patch_error({item});
     ASSERT_FALSE(msg.empty()) << item << " was accepted";
     EXPECT_NE(msg.find(item), std::string::npos) << msg;
@@ -151,11 +148,12 @@ TEST(ConfigPatch, RejectsBadItemsNamingTheTokenAndTheValidKeys) {
     }
   }
   // A bad strategy lists the strategies; predict takes only a drop loop as
-  // its fallback, and a ':' needs something after it (one spelling per
-  // recipe).
+  // its fallback, and a ':' or ',' needs something after it (one spelling
+  // per recipe).
   for (const char* item :
        {"gen=nosuch", "gen=predict:dynamic", "gen=predict:predict",
-        "gen=predict:x", "gen=ctg:", "gen=predict:", "gen=dynamic:"}) {
+        "gen=predict:x", "gen=ctg:", "gen=predict:", "gen=dynamic:",
+        "gen=dynamic:8,", "gen=dynamic:,"}) {
     const std::string msg = patch_error({item});
     ASSERT_FALSE(msg.empty()) << item << " was accepted";
     EXPECT_NE(msg.find(item), std::string::npos) << msg;
@@ -171,9 +169,11 @@ TEST(ConfigPatch, RejectsBadItemsNamingTheTokenAndTheValidKeys) {
 }
 
 TEST(ConfigPatch, RetiredKeysAreUnknown) {
-  EXPECT_EQ(ic3::ConfigPatch::keys().size(), 5u);
+  EXPECT_EQ(ic3::ConfigPatch::keys(), std::vector<std::string>{"gen"});
   for (const char* item :
-       {"gen_batch=4", "gen_ternary_filter=off", "sat_inprocess=off"}) {
+       {"gen_batch=4", "gen_ternary_filter=off", "sat_inprocess=off",
+        "clear_failure_push_on_propagate=off", "predict_refine_diff=off",
+        "predict_max_extra_lits=2", "predict_core_shrink=on"}) {
     const std::string msg = patch_error({item});
     EXPECT_NE(msg.find("unknown key"), std::string::npos) << item << ": " << msg;
   }
@@ -181,20 +181,45 @@ TEST(ConfigPatch, RetiredKeysAreUnknown) {
 
 TEST(ConfigPatch, LastValueWinsAndItemsAreCanonical) {
   const ic3::ConfigPatch p = ic3::ConfigPatch::parse(
-      {"predict_refine_diff=off", "predict_max_extra_lits=02", "gen=down",
-       "predict_max_extra_lits=2"});
-  const std::vector<std::string> want = {
-      "gen=down", "predict_max_extra_lits=2", "predict_refine_diff=off"};
-  EXPECT_EQ(p.items(), want);
+      {"gen=dynamic:08", "gen=predict:ctg", "gen=down"});
+  EXPECT_EQ(p.items(), std::vector<std::string>{"gen=down"});
   EXPECT_EQ(ic3::ConfigPatch::parse(p.items()), p);
+  EXPECT_TRUE(ic3::ConfigPatch::parse({}).empty());
+  EXPECT_TRUE(ic3::ConfigPatch::parse({}).items().empty());
 
   ic3::Config cfg = ic3_config_for("ic3-ctg", 7);
   p.apply(cfg);
   EXPECT_EQ(cfg.gen_spec, "down");
-  EXPECT_EQ(cfg.predict_max_extra_lits, 2);
-  EXPECT_FALSE(cfg.predict_refine_diff);
   // Unpatched fields keep the name's.
   EXPECT_EQ(cfg.seed, 7u);
+
+  // One spelling per spec: canonical numbers, no default arguments, and
+  // bare predict for predict:ctg.
+  for (const auto& [given, canonical] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"dynamic:08", "dynamic:8"},
+           {"dynamic:8", "dynamic:8"},
+           {"dynamic:16", "dynamic"},
+           {"dynamic:16,0.4", "dynamic"},
+           {"dynamic:16,0.40", "dynamic"},
+           {"dynamic:,0.4", "dynamic"},
+           {"dynamic:8,0.4", "dynamic:8"},
+           {"dynamic:8,0.50", "dynamic:8,0.5"},
+           {"dynamic:,0.5", "dynamic:16,0.5"},
+           {"dynamic:4,1e-1", "dynamic:4,0.1"},
+           {"dynamic:4,1", "dynamic:4,1"},
+           {"dynamic:4,-0", "dynamic:4,0"},
+           {"dynamic:+4,0.0", "dynamic:4,0"},
+           {"predict:ctg", "predict"},
+           {"predict", "predict"},
+           {"predict:down", "predict:down"},
+           {"predict:cav23", "predict:cav23"},
+           {"ctg", "ctg"}}) {
+    const ic3::ConfigPatch q = ic3::ConfigPatch::parse({"gen=" + given});
+    EXPECT_EQ(q.items(), std::vector<std::string>{"gen=" + canonical})
+        << given;
+    EXPECT_EQ(ic3::ConfigPatch::parse(q.items()), q) << given;
+  }
 }
 
 /// The search-path fingerprint of one check_ts run.
@@ -233,19 +258,6 @@ TEST(ConfigPatch, EachEngineNameIsNothingButItsSpec) {
               work_counts(ts, "ic3-ctg", {"gen=predict:ctg"}))
         << cc.name;
   }
-}
-
-TEST(ConfigPatch, AblationKeysSetTheirFields) {
-  ic3::Config cfg;
-  ic3::ConfigPatch::parse({"clear_failure_push_on_propagate=off",
-                           "predict_refine_diff=off",
-                           "predict_max_extra_lits=2",
-                           "predict_core_shrink=on"})
-      .apply(cfg);
-  EXPECT_FALSE(cfg.clear_failure_push_on_propagate);
-  EXPECT_FALSE(cfg.predict_refine_diff);
-  EXPECT_EQ(cfg.predict_max_extra_lits, 2);
-  EXPECT_TRUE(cfg.predict_core_shrink);
 }
 
 TEST(Backend, PdrIsIc3Down) {

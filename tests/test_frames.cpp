@@ -1,6 +1,7 @@
 /// Frames tests: delta encoding, subsumption on insert, parent-lemma lookup
-/// (Algorithm 2 line 1-7 semantics), pushes, the install log, and the
-/// no-subsumed-lemma invariant under random installs.
+/// (Algorithm 2 line 1-7 semantics), pushes, the install log, the CTP table
+/// of failed pushes, and the no-subsumed-lemma invariant under random
+/// installs.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -165,6 +166,110 @@ TEST(Frames, ForgettingOldInstallsKeepsStampsAbsolute) {
   EXPECT_EQ(since[0].cube, Cube::from_lits({pos(3)}));
   f.forget_installs_before(stamp);  // no-op: already cut there
   EXPECT_EQ(f.installs_since(stamp).size(), 1u);
+}
+
+TEST(FramesCtp, RecordOverwritesByLemmaAndLevel) {
+  Frames f;
+  f.ensure_level(3);
+  const Cube c = Cube::from_lits({pos(1)});
+  f.record_push_ctp(c, 1, Cube::from_lits({neg(1), pos(2)}),
+                    Cube::from_lits({pos(1), pos(2)}));
+  f.record_push_ctp(c, 1, Cube::from_lits({neg(1), neg(2)}),
+                    Cube::from_lits({pos(1), neg(2)}));
+  // The latest CTP of (lemma, level) is the freshest.
+  const PushCtp* ctp = f.push_ctp(c, 1);
+  ASSERT_NE(ctp, nullptr);
+  EXPECT_EQ(ctp->state, Cube::from_lits({neg(1), neg(2)}));
+  EXPECT_EQ(ctp->successor, Cube::from_lits({pos(1), neg(2)}));
+  EXPECT_EQ(ctp->stamp, f.install_count());
+  // A different level, or a different lemma, is a different entry.
+  EXPECT_EQ(f.push_ctp(c, 2), nullptr);
+  EXPECT_EQ(f.push_ctp(Cube::from_lits({pos(2)}), 1), nullptr);
+  f.record_push_ctp(c, 2, Cube::from_lits({neg(1), pos(3)}),
+                    Cube::from_lits({pos(1), pos(3)}));
+  ASSERT_NE(f.push_ctp(c, 2), nullptr);
+  EXPECT_EQ(f.push_ctp(c, 2)->successor, Cube::from_lits({pos(1), pos(3)}));
+  EXPECT_EQ(f.push_ctp(c, 1)->successor, Cube::from_lits({pos(1), neg(2)}));
+}
+
+TEST(FramesCtp, ValidWhileTheStateSatisfiesEveryNewClause) {
+  Frames f;
+  f.ensure_level(3);
+  const Cube c = Cube::from_lits({pos(5)});
+  // s: x1 = 0, x2 = 1, x3 = 0 (x4 unassigned).
+  f.record_push_ctp(c, 1, Cube::from_lits({neg(1), pos(2), neg(3)}),
+                    Cube::from_lits({pos(5)}));
+  f.record_push_ctp(c, 2, Cube::from_lits({neg(1), pos(2), neg(3)}),
+                    Cube::from_lits({pos(5)}));
+  const PushCtp at1 = *f.push_ctp(c, 1);
+  const PushCtp at2 = *f.push_ctp(c, 2);
+
+  // s satisfies ¬x1 ∨ ¬x4: R_1 gains a clause s lies in.
+  ASSERT_TRUE(f.add_lemma(Cube::from_lits({pos(1), pos(4)}), 1));
+  EXPECT_TRUE(f.ctp_still_valid(at1, 1));
+  EXPECT_TRUE(f.ctp_still_valid(at2, 2));
+
+  // s falsifies ¬x2 ∨ x3: installed at level 1, it takes s out of R_1 and
+  // leaves R_2 as it was; its push to level 2 takes s out of R_2 too.
+  const Cube d = Cube::from_lits({pos(2), neg(3)});
+  ASSERT_TRUE(f.add_lemma(d, 1));
+  EXPECT_FALSE(f.ctp_still_valid(at1, 1));
+  EXPECT_TRUE(f.ctp_still_valid(at2, 2));
+  f.push_lemma(d, 1);
+  EXPECT_FALSE(f.ctp_still_valid(at2, 2));
+
+  // A CTP stamped after those installs is valid again, until an install s
+  // falsifies at a level ≥ 1.
+  f.record_push_ctp(c, 1, Cube::from_lits({neg(1), pos(2), neg(3)}),
+                    Cube::from_lits({pos(5)}));
+  const PushCtp fresh = *f.push_ctp(c, 1);
+  EXPECT_TRUE(f.ctp_still_valid(fresh, 1));
+  ASSERT_TRUE(f.add_lemma(Cube::from_lits({neg(1)}), 3));
+  EXPECT_FALSE(f.ctp_still_valid(fresh, 1));
+
+  // s does not assign x4, so a clause over x4 alone is not known to hold.
+  Frames g;
+  g.ensure_level(2);
+  g.record_push_ctp(c, 1, Cube::from_lits({neg(1)}), Cube::from_lits({pos(5)}));
+  const PushCtp partial = *g.push_ctp(c, 1);
+  ASSERT_TRUE(g.add_lemma(Cube::from_lits({pos(4)}), 1));
+  EXPECT_FALSE(g.ctp_still_valid(partial, 1));
+}
+
+TEST(FramesCtp, APassDropsTheEntriesItDoesNotVisit) {
+  Frames f;
+  f.ensure_level(2);
+  const Cube a = Cube::from_lits({pos(1)});
+  const Cube b = Cube::from_lits({pos(2)});
+  ASSERT_TRUE(f.add_lemma(a, 1));
+  f.record_push_ctp(a, 1, Cube::from_lits({neg(1), neg(2)}),
+                    Cube::from_lits({pos(1)}));
+  const std::uint64_t oldest = f.push_ctp(a, 1)->stamp;
+  ASSERT_TRUE(f.add_lemma(b, 1));
+  f.record_push_ctp(b, 1, Cube::from_lits({neg(2)}), Cube::from_lits({pos(2)}));
+
+  // The pass takes the whole table; the frames keep none of it.
+  PushCtpMap cached = f.take_push_ctps();
+  EXPECT_EQ(cached.size(), 2u);
+  EXPECT_EQ(f.push_ctp(a, 1), nullptr);
+  EXPECT_EQ(f.push_ctp(b, 1), nullptr);
+  // The log still reaches back to the oldest handed-over stamp.
+  EXPECT_EQ(f.installs_since(oldest).size(), 1u);
+
+  // The pass visits (a, 1) only and records its CTP again.
+  auto entry = cached.extract(CubeLevelKey{a, 1});
+  ASSERT_FALSE(entry.empty());
+  ASSERT_TRUE(f.ctp_still_valid(entry.mapped(), 1));
+  f.record_push_ctp(a, 1, std::move(entry.mapped().state),
+                    std::move(entry.mapped().successor));
+  ASSERT_NE(f.push_ctp(a, 1), nullptr);
+  EXPECT_EQ(f.push_ctp(a, 1)->stamp, f.install_count());
+  EXPECT_EQ(f.push_ctp(b, 1), nullptr);
+
+  // The next pass forgets the installs before its oldest stamp.
+  EXPECT_EQ(f.take_push_ctps().size(), 1u);
+  EXPECT_TRUE(f.installs_since(f.install_count()).empty());
+  EXPECT_TRUE(f.take_push_ctps().empty());
 }
 
 /// First pair (lower-level lemma, lemma at a level ≥ it) where the lower

@@ -47,14 +47,14 @@ TEST(GenSpec, NamesAreTheFiveBuiltins) {
             (std::vector<std::string>{"cav23", "ctg", "down", "dynamic",
                                       "predict"}));
   for (const std::string& name : gen_strategy_names()) {
-    EXPECT_NO_THROW(validate_gen_spec(name)) << name;
+    EXPECT_NO_THROW((void)canonical_gen_spec(name)) << name;
   }
-  EXPECT_THROW(validate_gen_spec("nope"), std::invalid_argument);
+  EXPECT_THROW((void)canonical_gen_spec("nope"), std::invalid_argument);
 }
 
 TEST(GenSpec, UnknownNameErrorListsTheStrategies) {
   try {
-    validate_gen_spec("no-such-strategy");
+    (void)canonical_gen_spec("no-such-strategy");
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
     const std::string msg = e.what();
@@ -67,20 +67,22 @@ TEST(GenSpec, UnknownNameErrorListsTheStrategies) {
 }
 
 TEST(GenSpec, SpecArgsAreValidated) {
-  EXPECT_NO_THROW(validate_gen_spec("dynamic"));
-  EXPECT_NO_THROW(validate_gen_spec("dynamic:8"));
-  EXPECT_NO_THROW(validate_gen_spec("dynamic:8,0.5"));
-  EXPECT_NO_THROW(validate_gen_spec("dynamic:,0.5"));
-  EXPECT_THROW(validate_gen_spec("dynamic:abc"), std::invalid_argument);
-  EXPECT_THROW(validate_gen_spec("dynamic:0"), std::invalid_argument);
-  EXPECT_THROW(validate_gen_spec("dynamic:8,1.5"), std::invalid_argument);
-  EXPECT_THROW(validate_gen_spec("dynamic:9999"), std::invalid_argument);
+  EXPECT_NO_THROW((void)canonical_gen_spec("dynamic"));
+  EXPECT_NO_THROW((void)canonical_gen_spec("dynamic:8"));
+  EXPECT_NO_THROW((void)canonical_gen_spec("dynamic:8,0.5"));
+  EXPECT_NO_THROW((void)canonical_gen_spec("dynamic:,0.5"));
+  EXPECT_THROW((void)canonical_gen_spec("dynamic:abc"), std::invalid_argument);
+  EXPECT_THROW((void)canonical_gen_spec("dynamic:0"), std::invalid_argument);
+  EXPECT_THROW((void)canonical_gen_spec("dynamic:8,1.5"), std::invalid_argument);
+  EXPECT_THROW((void)canonical_gen_spec("dynamic:9999"), std::invalid_argument);
+  EXPECT_THROW((void)canonical_gen_spec("dynamic:8,nan"), std::invalid_argument);
   // Fixed strategies take no args.
-  EXPECT_THROW(validate_gen_spec("ctg:3"), std::invalid_argument);
-  EXPECT_NO_THROW(validate_gen_spec("ctg"));
-  // One spelling per recipe: a ':' needs something after it.
-  for (const char* spec : {"ctg:", "predict:", "dynamic:"}) {
-    EXPECT_THROW(validate_gen_spec(spec), std::invalid_argument) << spec;
+  EXPECT_THROW((void)canonical_gen_spec("ctg:3"), std::invalid_argument);
+  EXPECT_NO_THROW((void)canonical_gen_spec("ctg"));
+  // One spelling per recipe: a ':' or ',' needs something after it.
+  for (const char* spec :
+       {"ctg:", "predict:", "dynamic:", "dynamic:8,", "dynamic:,"}) {
+    EXPECT_THROW((void)canonical_gen_spec(spec), std::invalid_argument) << spec;
   }
 }
 
@@ -198,7 +200,7 @@ TEST(DynamicStrategyPolicy, FixedSpecsNeverSwitch) {
     PolicyFixture f(spec);
     // A propagation boundary adds no gen[...] row: the --stats line lists
     // only strategies that generalized.
-    f.gen.on_propagate();
+    EXPECT_FALSE(f.gen.evaluate_switch()) << spec;
     EXPECT_TRUE(f.stats.gen_strategies.empty()) << spec;
     const std::string name = f.gen.active_name();
     for (int i = 0; i < 64; ++i) f.stats.record_gen_outcome(name, false, 1, 0);

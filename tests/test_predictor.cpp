@@ -1,6 +1,7 @@
-/// Predictor tests: the failure_push table, parent discovery, the diff-set
-/// candidate construction of Equation 6, the empty-diff "push the parent"
-/// path, counter updates (N_p / N_sp / N_fp), and table clearing.
+/// Predictor tests: parent discovery through the frames' CTP table, the
+/// diff-set candidate construction of Equation 6, the empty-diff "push the
+/// parent" path and its line-20 re-record, counter updates
+/// (N_p / N_sp / N_fp), and a block-phase push failure feeding predict.
 #include <gtest/gtest.h>
 
 #include "circuits/families.hpp"
@@ -18,7 +19,7 @@ struct PredictorFixture {
       : cc(circuits::counter_wrap_safe(3, 4, 6)),
         ts(ts::TransitionSystem::from_aig(cc.aig)),
         solvers(ts, cfg, stats),
-        predictor(solvers, frames, cfg, stats) {
+        predictor(solvers, frames, stats) {
     solvers.ensure_level(2);
     frames.ensure_level(2);
   }
@@ -29,6 +30,13 @@ struct PredictorFixture {
       lits.push_back(Lit::make(ts.state_var(i), ((value >> i) & 1ULL) == 0));
     }
     return Cube::from_lits(std::move(lits));
+  }
+
+  /// Records a failed push of `lemma` from `level` whose CTP steps from
+  /// count `from` into count `to`.
+  void record_ctp(const Cube& lemma, std::size_t level, std::uint64_t from,
+                  std::uint64_t to) {
+    frames.record_push_ctp(lemma, level, state_cube(from), state_cube(to));
   }
 
   void install_lemma(const Cube& c, std::size_t level) {
@@ -42,7 +50,7 @@ struct PredictorFixture {
   Ic3Stats stats;
   Frames frames;
   SolverManager solvers{ts, cfg, stats};
-  Predictor predictor{solvers, frames, cfg, stats};
+  Predictor predictor{solvers, frames, stats};
 };
 
 TEST(Predictor, NoParentsNoPrediction) {
@@ -70,7 +78,7 @@ TEST(Predictor, EmptyDiffPushesParentSuccessfully) {
   const Cube p = Cube::from_lits({Lit::make(f.ts.state_var(2))});
   f.install_lemma(p, 1);
   // Record a fake CTP t that intersects b = {count=6}: diff(b, t) = ∅.
-  f.predictor.record_push_failure(p, 1, f.state_cube(6));
+  f.record_ctp(p, 1, 5, 6);
   const auto result = f.predictor.predict(f.state_cube(6), 2, Deadline{});
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(*result, p);  // the parent itself is the predicted lemma
@@ -86,7 +94,7 @@ TEST(Predictor, EmptyDiffFailedPushRefreshesCtp) {
   const Cube p = Cube::from_lits(
       {Lit::make(f.ts.state_var(1)), Lit::make(f.ts.state_var(2))});
   f.install_lemma(p, 1);
-  f.predictor.record_push_failure(p, 1, f.state_cube(6));
+  f.record_ctp(p, 1, 5, 6);
   // b = {count=6} = {bit0=0,bit1=1,bit2=1}; t = same state → empty diff.
   const auto result = f.predictor.predict(f.state_cube(6), 2, Deadline{});
   EXPECT_FALSE(result.has_value());
@@ -106,7 +114,7 @@ TEST(Predictor, DiffSetCandidateValidatesEquation6) {
   // So every predecessor into the candidate is blocked by ¬p: inductive.
   const Cube p = Cube::from_lits({Lit::make(f.ts.state_var(2))});
   f.install_lemma(p, 1);
-  f.predictor.record_push_failure(p, 1, f.state_cube(5));
+  f.record_ctp(p, 1, 4, 5);
 
   const Cube b = f.state_cube(6);
   const auto result = f.predictor.predict(b, 2, Deadline{});
@@ -118,29 +126,68 @@ TEST(Predictor, DiffSetCandidateValidatesEquation6) {
   EXPECT_GE(f.stats.num_successful_predictions, 1u);
 }
 
-TEST(Predictor, ClearDropsAllEntries) {
+TEST(Predictor, ReadsOnlyTheFramesTable) {
   PredictorFixture f;
   const Cube p = Cube::from_lits({Lit::make(f.ts.state_var(2))});
   f.install_lemma(p, 1);
-  f.predictor.record_push_failure(p, 1, f.state_cube(6));
-  EXPECT_EQ(f.predictor.table_size(), 1u);
-  f.predictor.clear();
-  EXPECT_EQ(f.predictor.table_size(), 0u);
-  // After clearing, the parent behaves as if it never failed (lines 12-13).
+  f.record_ctp(p, 1, 5, 6);
+  // A propagation pass that does not visit (p, 1) drops its entry; then the
+  // parent behaves as if it never failed (lines 12-13).
+  (void)f.frames.take_push_ctps();
   const auto result = f.predictor.predict(f.state_cube(6), 2, Deadline{});
   EXPECT_FALSE(result.has_value());
+  EXPECT_EQ(f.stats.num_prediction_queries, 0u);
   EXPECT_EQ(f.stats.num_found_failed_parents, 0u);
 }
 
-TEST(Predictor, RecordOverwritesWithFreshestCtp) {
+TEST(Predictor, EmptyDiffFailedPushRecordsItsCtp) {
   PredictorFixture f;
-  const Cube p = Cube::from_lits({Lit::make(f.ts.state_var(2))});
-  f.predictor.record_push_failure(p, 1, f.state_cube(5));
-  f.predictor.record_push_failure(p, 1, f.state_cube(7));
-  EXPECT_EQ(f.predictor.table_size(), 1u);  // keyed by (lemma, level)
-  // Different level = different entry.
-  f.predictor.record_push_failure(p, 2, f.state_cube(5));
-  EXPECT_EQ(f.predictor.table_size(), 2u);
+  const Cube p = Cube::from_lits(
+      {Lit::make(f.ts.state_var(1)), Lit::make(f.ts.state_var(2))});
+  // An entry with an unknown predecessor, stamped before p's install: the
+  // next pass could not skip the push on it.
+  f.frames.record_push_ctp(p, 1, Cube{}, f.state_cube(6));
+  f.install_lemma(p, 1);
+  EXPECT_FALSE(f.frames.ctp_still_valid(*f.frames.push_ctp(p, 1), 1));
+  // Line 20: the re-push of p fails (5 → 6), and its model replaces the
+  // entry, stamped now.
+  EXPECT_FALSE(f.predictor.predict(f.state_cube(6), 2, Deadline{}).has_value());
+  const PushCtp* ctp = f.frames.push_ctp(p, 1);
+  ASSERT_NE(ctp, nullptr);
+  EXPECT_EQ(ctp->state, f.state_cube(5));
+  EXPECT_EQ(ctp->successor, f.state_cube(6));
+  EXPECT_EQ(ctp->stamp, f.frames.install_count());
+  EXPECT_TRUE(f.frames.ctp_still_valid(*ctp, 1));
+}
+
+TEST(Predictor, BlockPhasePushFailureFeedsTheNextPredict) {
+  PredictorFixture f;
+  // The engine's block phase: the new lemma L = {bit1=1, bit2=1} (counts
+  // 6, 7) fails its push from level 1 before it is installed (¬L is a
+  // temporary clause of the query): 5 ∈ R_1 steps into 6.
+  const Cube lemma = Cube::from_lits(
+      {Lit::make(f.ts.state_var(1)), Lit::make(f.ts.state_var(2))});
+  ASSERT_FALSE(f.solvers.relative_inductive(
+      lemma, 1, /*cube_clause_in_frame=*/false, nullptr, Deadline{}));
+  f.frames.record_push_ctp(lemma, 1, f.solvers.model_state(/*primed=*/false),
+                           f.solvers.model_state(/*primed=*/true));
+  f.install_lemma(lemma, 1);
+  const PushCtp* ctp = f.frames.push_ctp(lemma, 1);
+  ASSERT_NE(ctp, nullptr);
+  EXPECT_EQ(ctp->successor, f.state_cube(6));
+  // s falsifies L, so the lemma's own install leaves the CTP valid.
+  EXPECT_TRUE(f.frames.ctp_still_valid(*ctp, 1));
+
+  // b = count 7 has parent L; diff(b, t = 6) = {bit0=1}, so the one
+  // candidate is L ∪ {bit0=1} = count 7, inductive since its only
+  // predecessor 6 lies in L.
+  const Cube b = f.state_cube(7);
+  const auto result = f.predictor.predict(b, 2, Deadline{});
+  ASSERT_TRUE(result.has_value());
+  EXPECT_EQ(*result, lemma.with_lit(Lit::make(f.ts.state_var(0))));
+  EXPECT_EQ(f.stats.num_prediction_queries, 1u);
+  EXPECT_EQ(f.stats.num_successful_predictions, 1u);
+  EXPECT_EQ(f.stats.num_found_failed_parents, 1u);
 }
 
 TEST(Predictor, PredictedLemmaBlocksTheObligationCube) {
@@ -150,7 +197,7 @@ TEST(Predictor, PredictedLemmaBlocksTheObligationCube) {
   PredictorFixture f;
   const Cube p = Cube::from_lits({Lit::make(f.ts.state_var(2))});
   f.install_lemma(p, 1);
-  f.predictor.record_push_failure(p, 1, f.state_cube(5));
+  f.record_ctp(p, 1, 4, 5);
   const Cube b = f.state_cube(6);
   const auto result = f.predictor.predict(b, 2, Deadline{});
   ASSERT_TRUE(result.has_value());

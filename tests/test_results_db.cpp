@@ -177,12 +177,12 @@ TEST(ResultsDb, WriterCutsATornTailBeforeAppending) {
 
 TEST(ResultsDb, CampaignPatchRoundTripsThroughTheSetField) {
   const ic3::ConfigPatch patch =
-      ic3::ConfigPatch::parse({"predict_refine_diff=off", "gen=down"});
+      ic3::ConfigPatch::parse({"gen=down", "gen=dynamic:8,0.50"});
   RunRow row = make_row("a", "ic3-ctg", ic3::Verdict::kSafe, 0.5);
   row.context = make_run_context("tests/corpus", 2000, 0, patch);
   const json::Value v = to_json(row);
-  ASSERT_EQ(v.at("set").as_array().size(), 2u);
-  EXPECT_EQ(v.at("set").as_array()[1].as_string(), "predict_refine_diff=off");
+  ASSERT_EQ(v.at("set").as_array().size(), 1u);
+  EXPECT_EQ(v.at("set").as_array()[0].as_string(), "gen=dynamic:8,0.5");
 
   TempFile file("patch");
   ResultsDb db;
@@ -226,6 +226,22 @@ TEST(ResultsDb, RetiredSetKeysAreDroppedOnLoad) {
   const ResultsDb db = ResultsDb::load(file.str());
   ASSERT_EQ(db.rows().size(), 1u);
   EXPECT_EQ(db.rows()[0].context.patch, ic3::ConfigPatch::parse({"gen=down"}));
+}
+
+TEST(ResultsDb, RetiredPredictionKeysAreDroppedOnLoad) {
+  // Rows written while the prediction ablation keys were settable.
+  for (const char* item :
+       {"predict_refine_diff=off", "clear_failure_push_on_propagate=off",
+        "predict_max_extra_lits=2", "predict_core_shrink=on"}) {
+    json::Object old =
+        to_json(make_row("a", "ic3-ctg-pl", ic3::Verdict::kSafe, 0.5))
+            .as_object();
+    old["set"] = json::Array{json::Value(item)};
+    bool dropped = false;
+    const RunRow row = row_from_json(json::Value(old), &dropped);
+    EXPECT_TRUE(dropped) << item;
+    EXPECT_TRUE(row.context.patch.empty()) << item;
+  }
 }
 
 TEST(ResultsDb, PushCountersRoundTripAndOldRowsReadZero) {

@@ -9,8 +9,8 @@
 ///
 /// Engine selection: `--engine` picks a backend (or portfolio[:a+b+c] /
 /// portfolio-x[:a+b+c] with lemma exchange); each repeatable
-/// `--set key=value` adjusts one engine setting (ic3::ConfigPatch, e.g.
-/// `--set gen=dynamic:16,0.4 --set predict_refine_diff=off`).
+/// `--set key=value` adjusts one engine setting (ic3::ConfigPatch; the one
+/// key is the strategy spec, e.g. `--set gen=dynamic:8,0.5`).
 ///
 /// The verdict is printed as one line (SAFE / UNSAFE / UNKNOWN) on stdout;
 /// diagnostics go to stderr.  With --witness, UNSAFE runs print the
@@ -471,7 +471,7 @@ int main(int argc, char** argv) {
   for (const std::string& name : ic3::gen_strategy_names()) {
     set_help += " " + name;
   }
-  set_help += " (predict[:down|ctg|cav23], dynamic[:window,threshold])";
+  set_help += " (predict[:down|ctg|cav23], dynamic[:window[,threshold]])";
   parser.add_list("set", &set_items, set_help);
   parser.add_string("cache", &cache_path,
                     "JSONL verdict cache keyed by the canonical AIG hash: "
