@@ -2,8 +2,8 @@
 /// Shared scaffolding for the experiment-reproduction binaries: flag
 /// parsing (suite size, per-case budget, parallelism, results-db sourcing)
 /// and run-matrix helpers.  Each bench binary reproduces one table or
-/// figure of the paper (see EXPERIMENTS.md for the index and the expected
-/// shapes).
+/// figure of the paper (see the "Experiment configurations" section of
+/// docs/ARCHITECTURE.md for the index and the expected shapes).
 ///
 /// Record sourcing: by default a harness runs its (suite × engines) matrix
 /// inline, but `--db runs.jsonl` makes it aggregate rows from a results

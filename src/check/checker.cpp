@@ -107,11 +107,11 @@ CheckResult check_ts(const ts::TransitionSystem& ts,
                      const CheckOptions& options) {
   const std::string& spec = options.engine_spec;
   // "portfolio[:a+b+c]" races without lemma exchange, "portfolio-x[:…]"
-  // with it; CheckOptions::share_lemmas turns it on for either form.
+  // with it.
   if (std::optional<engine::PortfolioSpec> ps =
           engine::match_portfolio_spec(spec)) {
     return run_portfolio_backends(ts, std::move(ps->backends), options,
-                                  ps->exchange || options.share_lemmas);
+                                  ps->exchange);
   }
 
   const std::unique_ptr<obs::ProgressMonitor> monitor = monitor_for(options);

@@ -39,16 +39,14 @@ namespace pilot::check {
 [[nodiscard]] const std::vector<std::string>& paper_configurations();
 
 struct CheckOptions {
-  /// Engine selector by registry name.  Accepts any registered backend name
-  /// plus "portfolio[:a+b+c]" (a "+"-separated backend list) and
-  /// "portfolio-x[:a+b+c]" (same race with lemma exchange enabled).
+  /// Engine selector by registry name, the one input that picks what runs.
+  /// Accepts any registered backend name plus "portfolio[:a+b+c]" (a
+  /// "+"-separated backend list) and "portfolio-x[:a+b+c]" (same race with
+  /// lemma exchange enabled).
   std::string engine_spec = "ic3-ctg";
   /// Engine settings (`--set key=value`, ic3/config.hpp) applied to the
   /// engine, or to every backend of a portfolio race.
   ic3::ConfigPatch patch;
-  /// Portfolio runs: share validated lemmas between the racing IC3
-  /// backends (also enabled by the "portfolio-x" spec form).
-  bool share_lemmas = false;
   std::int64_t budget_ms = 0;  // 0 = unlimited
   std::uint64_t seed = 0;
   std::size_t property_index = 0;

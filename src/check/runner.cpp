@@ -14,7 +14,6 @@
 #include "corpus/results_db.hpp"
 #include "engine/backend.hpp"
 #include "engine/portfolio.hpp"
-#include "serve/advisor.hpp"
 #include "serve/verdict_cache.hpp"
 #include "ts/transition_system.hpp"
 #include "util/timer.hpp"
@@ -42,18 +41,6 @@ struct LoadedCase {
   std::optional<aig::Aig> aig;
   std::string error;
 };
-
-/// Non-throwing spec validity probe for advisor recommendations: history
-/// can name engines a different build no longer registers, and a stale
-/// recommendation must degrade to "no advice", not kill the campaign.
-bool spec_is_valid(const std::string& spec) {
-  try {
-    if (engine::match_portfolio_spec(spec).has_value()) return true;
-    return engine::backend_registered(spec);
-  } catch (const std::exception&) {
-    return false;
-  }
-}
 
 /// File-name-safe rendering of an engine spec ("portfolio:a+b" →
 /// "portfolio-a-b") for certificate paths.
@@ -136,8 +123,8 @@ std::vector<RunRecord> run_matrix(const std::vector<corpus::Case>& cases,
         continue;
       }
 
-      // Canonical structure hash + shape features: the cache/advisor key,
-      // recorded on every row so future campaigns become advisor history.
+      // Canonical structure hash (the cache key) + shape features,
+      // recorded on every row.
       rec.content_hash = aig::canonical_hash_hex(*lc.aig);
       rec.num_inputs = lc.aig->num_inputs();
       rec.num_latches = lc.aig->num_latches();
@@ -148,8 +135,8 @@ std::vector<RunRecord> run_matrix(const std::vector<corpus::Case>& cases,
       const ts::TransitionSystem ts =
           ts::TransitionSystem::from_aig(*lc.aig, 0);
 
-      // Tier 1 — verdict cache: a revalidated hit skips the engine
-      // entirely; the record's time is the lookup + re-check cost.
+      // Verdict cache: a revalidated hit skips the engine entirely; the
+      // record's time is the lookup + re-check cost.
       if (options.cache != nullptr) {
         Timer lookup_timer;
         const std::optional<serve::CacheEntry> hit =
@@ -191,43 +178,11 @@ std::vector<RunRecord> run_matrix(const std::vector<corpus::Case>& cases,
           options.verify_witness || options.certify || options.cache != nullptr;
       co.cancel = options.cancel;
 
-      // Tier 2 — advisor: open with the engine + ~1.5× budget that solved
-      // the nearest recorded neighbour; an UNKNOWN there falls back to the
-      // job's own spec under the full budget.  Either way the verdict goes
-      // through the same certification as an unadvised run.
-      CheckResult res;
-      bool advised_solved = false;
-      double advised_seconds = 0.0;
-      if (options.advisor != nullptr) {
-        const std::optional<serve::Advice> adv = options.advisor->advise(
-            rec.content_hash, rec.num_inputs, rec.num_latches, rec.num_ands);
-        const bool usable =
-            adv.has_value() && spec_is_valid(adv->engine_spec) &&
-            (adv->engine_spec != spec ||
-             (options.budget_ms <= 0 || adv->budget_ms < options.budget_ms));
-        if (usable) {
-          CheckOptions advised = co;
-          advised.engine_spec = adv->engine_spec;
-          advised.budget_ms = options.budget_ms > 0
-                                  ? std::min(adv->budget_ms, options.budget_ms)
-                                  : adv->budget_ms;
-          CheckResult ares = check_ts(ts, advised);
-          advised_seconds = ares.seconds;
-          if (ares.verdict != ic3::Verdict::kUnknown) {
-            res = std::move(ares);
-            advised_solved = true;
-            rec.advice = (adv->exact ? "exact:" : "near:") + adv->source_case +
-                         "@" + std::to_string(advised.budget_ms) + "ms";
-          } else {
-            rec.advice = "fallback";
-          }
-        }
-      }
-      if (!advised_solved) res = check_ts(ts, co);
+      const CheckResult res = check_ts(ts, co);
 
       rec.verdict = res.verdict;
       rec.solved = res.verdict != ic3::Verdict::kUnknown;
-      rec.seconds = res.seconds + (advised_solved ? 0.0 : advised_seconds);
+      rec.seconds = res.seconds;
       rec.frames = res.frames;
       rec.stats = res.stats;
 

@@ -6,8 +6,10 @@
 ///
 /// Cases come from the corpus layer (corpus/corpus.hpp), which unifies the
 /// synthetic `circuits::` families and on-disk AIGER corpora; engines are
-/// registry `engine_spec` strings (any backend name, or
-/// "portfolio[:a+b+c]").  The scheduler orders jobs largest-case-first so
+/// registry `engine_spec` strings (any backend name, "portfolio[:a+b+c]"
+/// or "portfolio-x[:a+b+c]").  Each job runs cache → engine: a revalidated
+/// cache hit answers, and a miss runs the job's own engine spec under the
+/// campaign budget.  The scheduler orders jobs largest-case-first so
 /// heterogeneous corpora keep every worker busy, but records are returned
 /// in deterministic case-major order regardless.
 ///
@@ -26,7 +28,6 @@
 
 namespace pilot::serve {
 class VerdictCache;
-class Advisor;
 }  // namespace pilot::serve
 
 namespace pilot::check {
@@ -53,20 +54,15 @@ struct RunRecord {
   /// Path of the saved certificate file (only with certify + cert_dir).
   std::string cert_path;
   /// Canonical AIG structure hash (aig::canonical_hash_hex) — the verdict
-  /// cache / advisor key.  Empty when the case failed to load.
+  /// cache and shard key.  Empty when the case failed to load.
   std::string content_hash;
-  /// Circuit shape (advisor nearest-neighbour features), recorded for
-  /// every loaded case.
+  /// Circuit shape, recorded for every loaded case.
   std::size_t num_inputs = 0;
   std::size_t num_latches = 0;
   std::size_t num_ands = 0;
   /// Verdict-cache outcome for this record: "hit" (served from cache after
   /// revalidation), "miss" (solved fresh, stored), or "" (no cache).
   std::string cache_status;
-  /// Advisor decision applied on a miss, e.g.
-  /// "exact:ring4@150ms" / "near:shift8@300ms" / "fallback" (advised run
-  /// returned UNKNOWN, full-budget rerun followed); "" = no advisor.
-  std::string advice;
   ic3::Ic3Stats stats;
 };
 
@@ -92,10 +88,6 @@ struct RunMatrixOptions {
   /// — and stores its certified verdict back on a miss.  Implies building
   /// a certificate per solved miss even when `certify` is off.
   serve::VerdictCache* cache = nullptr;
-  /// Budget advisor (nullable): on a cache miss, the advised engine runs
-  /// first under the advised (~1.5× neighbour) budget; UNKNOWN falls back
-  /// to the job's own engine spec and full budget.
-  const serve::Advisor* advisor = nullptr;
   /// Abort on verdict/expectation mismatch (soundness gate).  Cases with
   /// expected == kUnknown are exempt.
   bool strict = true;

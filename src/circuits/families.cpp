@@ -12,7 +12,10 @@ namespace {
 std::string param_name(const std::string& base,
                        std::initializer_list<std::uint64_t> params) {
   std::string s = base;
-  for (const std::uint64_t p : params) s += "_" + std::to_string(p);
+  for (const std::uint64_t p : params) {
+    s += '_';
+    s += std::to_string(p);
+  }
   return s;
 }
 

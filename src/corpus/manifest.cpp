@@ -134,7 +134,7 @@ Manifest load_manifest(const std::string& path) {
   }
   Manifest m;
   m.root = fs::path(path).parent_path().string();
-  if (m.root.empty()) m.root = ".";
+  if (m.root.empty()) m.root.push_back('.');
   const json::Array& cases = doc.at("cases").as_array();
   if (cases.empty()) {
     throw std::runtime_error("manifest " + path +

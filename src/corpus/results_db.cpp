@@ -137,11 +137,10 @@ json::Value to_json(const RunRow& row) {
   // rows written without --certify stay byte-identical to older builds.
   if (!r.cert_status.empty()) o["cert_status"] = r.cert_status;
   if (!r.cert_path.empty()) o["cert_path"] = r.cert_path;
-  // Serving-layer fields (PR 10): the canonical structure hash + shape
-  // features every loaded case records (advisor history), and the
-  // cache/advisor outcomes when a cache or advisor was attached.  All
-  // absent in older rows; the loader's null/0 fallbacks keep existing
-  // baselines loadable without regeneration.
+  // Serving-layer fields: the canonical structure hash + shape features
+  // every loaded case records, and the cache outcome when a cache was
+  // attached.  All absent in older rows; the loader's null/0 fallbacks
+  // keep existing baselines loadable without regeneration.
   if (!r.content_hash.empty()) {
     o["content_hash"] = r.content_hash;
     o["inputs"] = r.num_inputs;
@@ -149,7 +148,6 @@ json::Value to_json(const RunRow& row) {
     o["ands"] = r.num_ands;
   }
   if (!r.cache_status.empty()) o["cache"] = r.cache_status;
-  if (!r.advice.empty()) o["advice"] = r.advice;
   o["stats"] = stats_to_json(r.stats);
   o["corpus"] = row.context.corpus;
   o["commit"] = row.context.commit;
@@ -192,7 +190,6 @@ RunRow row_from_json(const json::Value& v, bool* dropped_retired) {
   r.num_latches = v.at("latches").as_uint();
   r.num_ands = v.at("ands").as_uint();
   r.cache_status = v.at("cache").as_string();
-  r.advice = v.at("advice").as_string();
   r.stats = stats_from_json(v.at("stats"));
   row.context.corpus = v.at("corpus").as_string();
   row.context.commit = v.at("commit").as_string();

@@ -125,14 +125,16 @@ Generalizer::Spec Generalizer::parse(const std::string& spec) {
     // Positional args: the window is printed whenever the threshold is.
     const bool default_threshold = out.threshold == kDefaultThreshold;
     if (out.window != kDefaultWindow || !default_threshold) {
-      out.text += ":" + std::to_string(out.window);
+      out.text += ':';
+      out.text += std::to_string(out.window);
     }
     if (!default_threshold) {
       std::array<char, 32> buf{};
       const auto end =
           std::to_chars(buf.data(), buf.data() + buf.size(), out.threshold)
               .ptr;  // the shortest text that reads back the same double
-      out.text += "," + std::string(buf.data(), end);
+      out.text += ',';
+      out.text.append(buf.data(), end);
     }
   } else if (name == "predict") {
     // The drop loop behind the prediction; bare "predict" runs ctgDown.

@@ -63,7 +63,9 @@ class Lit {
 
   /// Human-readable form, e.g. "3" / "-3" (1-based like DIMACS).
   [[nodiscard]] std::string to_string() const {
-    return (sign() ? "-" : "") + std::to_string(var() + 1);
+    std::string s = std::to_string(var() + 1);
+    if (sign()) s.insert(s.begin(), '-');
+    return s;
   }
 
  private:

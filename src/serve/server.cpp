@@ -269,7 +269,7 @@ void Server::handle_connection(int fd) {
   }
 
   // One-case run through the exact batch pipeline: canonical hash → cache
-  // lookup (revalidated) → advisor opening bid → engine → certified store.
+  // lookup (revalidated) → engine → certified store.
   try {
     corpus::Case cc;
     cc.name = "serve";
@@ -282,7 +282,6 @@ void Server::handle_connection(int fd) {
     mo.jobs = 1;          // already on a worker thread
     mo.strict = false;    // a bad client input must not abort the server
     mo.cache = options_.cache;
-    mo.advisor = options_.advisor;
     const std::vector<check::RunRecord> records =
         check::run_matrix(std::vector<corpus::Case>{cc},
                           {options_.engine_spec}, mo);

@@ -1,6 +1,6 @@
 /// \file server.hpp
 /// `pilot serve`: the long-running Unix-socket front door of the serving
-/// layer — tier 3 of "pilot-serve".
+/// layer — tier 2 of "pilot-serve".
 ///
 /// A stream socket accepts one request per connection, line-oriented:
 ///
@@ -13,10 +13,10 @@
 /// Accepted connections flow through a *bounded* queue into a worker pool;
 /// when the queue is full the connection is answered "error queue full"
 /// immediately instead of piling up unbounded memory — backpressure is the
-/// client's signal to retry.  Each job runs the same cache → advisor →
-/// engine pipeline as the batch runner (literally: a one-case run_matrix
-/// call with the shared VerdictCache/Advisor attached), so a served verdict
-/// is certified and cached exactly like a campaign verdict.
+/// client's signal to retry.  Each job runs the same cache → engine
+/// pipeline as the batch runner (literally: a one-case run_matrix call with
+/// the shared VerdictCache attached), so a served verdict is certified and
+/// cached exactly like a campaign verdict.
 ///
 /// Graceful drain: SIGTERM (wired by the CLI via request_stop()) or a
 /// client "stop" command closes the listening socket, lets the workers
@@ -33,7 +33,6 @@
 #include <thread>
 #include <vector>
 
-#include "serve/advisor.hpp"
 #include "serve/verdict_cache.hpp"
 
 namespace pilot::serve {
@@ -42,8 +41,7 @@ struct ServerOptions {
   /// Filesystem path of the Unix socket; created on start(), unlinked on
   /// drain.  A stale file from a crashed server is replaced.
   std::string socket_path;
-  /// Engine spec jobs run under on a cache miss (advisor may open with a
-  /// different one first).
+  /// Engine spec jobs run under on a cache miss.
   std::string engine_spec = "portfolio";
   std::int64_t budget_ms = 10000;
   std::uint64_t seed = 0;
@@ -51,9 +49,8 @@ struct ServerOptions {
   std::size_t queue_capacity = 64;
   /// Worker threads; 0 = hardware concurrency.
   std::size_t workers = 0;
-  /// Shared cache/advisor (non-owning, nullable).
+  /// Shared cache (non-owning, nullable).
   VerdictCache* cache = nullptr;
-  const Advisor* advisor = nullptr;
 };
 
 struct ServerStats {

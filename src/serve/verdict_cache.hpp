@@ -42,7 +42,7 @@ struct CacheEntry {
   std::string hash;
   ic3::Verdict verdict = ic3::Verdict::kUnknown;
   /// Engine spec that produced the verdict, original solve time and frame
-  /// count — provenance, surfaced to clients and to the advisor.
+  /// count — provenance, surfaced to clients.
   std::string engine;
   double seconds = 0.0;
   std::size_t frames = 0;

@@ -271,6 +271,29 @@ TEST(ResultsDb, PushCountersRoundTripAndOldRowsReadZero) {
   EXPECT_EQ(legacy.record.stats.num_push_ctp_revalidations, 0u);
 }
 
+// Rows of older builds may carry an "advice" column: such a row loads with
+// every other field intact, and a row written now has no "advice" key.
+TEST(ResultsDb, OldAdviceColumnIsIgnoredAndNoLongerWritten) {
+  RunRow row = make_row("ring4", "ic3-ctg", ic3::Verdict::kSafe, 0.15);
+  row.record.content_hash = "0123456789abcdef";
+  row.record.num_inputs = 1;
+  row.record.num_latches = 4;
+  row.record.num_ands = 12;
+  row.record.cache_status = "miss";
+  row.record.cert_status = "ok";
+  const json::Value written = to_json(row);
+  EXPECT_FALSE(written.contains("advice"));
+
+  json::Object old = written.as_object();
+  old["advice"] = "exact:ring4@150ms";
+  const RunRow back = row_from_json(json::Value(old));
+  EXPECT_EQ(to_json(back).dump(), written.dump());
+  EXPECT_EQ(back.record.content_hash, "0123456789abcdef");
+  EXPECT_EQ(back.record.num_latches, 4u);
+  EXPECT_EQ(back.record.cache_status, "miss");
+  EXPECT_EQ(back.record.cert_status, "ok");
+}
+
 TEST(ResultsDb, MergeKeepsLastRowPerCaseEngineKey) {
   ResultsDb db;
   db.add(make_row("a", "ic3-ctg", ic3::Verdict::kSafe, 0.5));

@@ -1,10 +1,9 @@
 /// Serving-layer tests ("pilot-serve"): the canonical AIG hash that keys
 /// the verdict cache, revalidate-before-serve cache semantics (a corrupted
 /// certificate must surface as a miss, never as a served verdict), the
-/// deterministic shard partition and its merge-equivalence, the
-/// history-driven advisor, the warm-rerun acceptance bar (every case a
-/// revalidated hit, an order of magnitude faster than solving), and an
-/// in-process Unix-socket server round trip.
+/// deterministic shard partition and its merge-equivalence, the warm-rerun
+/// acceptance bar (every case a revalidated hit, an order of magnitude
+/// faster than solving), and an in-process Unix-socket server round trip.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -25,7 +24,6 @@
 #include "circuits/suite.hpp"
 #include "corpus/corpus.hpp"
 #include "corpus/results_db.hpp"
-#include "serve/advisor.hpp"
 #include "serve/server.hpp"
 #include "serve/verdict_cache.hpp"
 #include "ts/transition_system.hpp"
@@ -33,8 +31,6 @@
 namespace pilot {
 namespace {
 
-using serve::Advice;
-using serve::Advisor;
 using serve::CacheEntry;
 using serve::VerdictCache;
 
@@ -334,59 +330,6 @@ TEST(ShardCases, MergedShardCampaignMatchesUnsharded) {
     ASSERT_TRUE(by_name.count(r.case_name)) << r.case_name;
     EXPECT_EQ(by_name[r.case_name], r.verdict) << r.case_name;
   }
-}
-
-// ----- advisor ---------------------------------------------------------------
-
-corpus::RunRow history_row(const std::string& name, const std::string& hash,
-                           const std::string& engine, double seconds,
-                           std::size_t inputs, std::size_t latches,
-                           std::size_t ands) {
-  corpus::RunRow row;
-  row.record.case_name = name;
-  row.record.engine = engine;
-  row.record.verdict = ic3::Verdict::kSafe;
-  row.record.solved = true;
-  row.record.seconds = seconds;
-  row.record.content_hash = hash;
-  row.record.num_inputs = inputs;
-  row.record.num_latches = latches;
-  row.record.num_ands = ands;
-  return row;
-}
-
-TEST(Advisor, ExactHashBeatsNearestNeighbour) {
-  corpus::ResultsDb db;
-  db.add(history_row("ring", "aaaa", "ic3-ctg", 0.5, 1, 8, 30));
-  db.add(history_row("ring-again", "aaaa", "bmc", 0.1, 1, 8, 30));
-  db.add(history_row("counter", "bbbb", "kind", 0.2, 2, 10, 60));
-  const Advisor adv = Advisor::from_db(db);
-  EXPECT_EQ(adv.size(), 3u);
-
-  // Exact tier: the *fastest* solver of that hash wins.
-  const std::optional<Advice> exact = adv.advise("aaaa", 1, 8, 30);
-  ASSERT_TRUE(exact.has_value());
-  EXPECT_TRUE(exact->exact);
-  EXPECT_EQ(exact->engine_spec, "bmc");
-  EXPECT_EQ(exact->budget_ms, Advisor::scaled_budget_ms(0.1));
-
-  // Unknown hash: nearest neighbour by shape.
-  const std::optional<Advice> near = adv.advise("cccc", 2, 10, 61);
-  ASSERT_TRUE(near.has_value());
-  EXPECT_FALSE(near->exact);
-  EXPECT_EQ(near->engine_spec, "kind");
-  EXPECT_EQ(near->source_case, "counter");
-}
-
-TEST(Advisor, ScaledBudgetHasAFloorAndAMargin) {
-  EXPECT_EQ(Advisor::scaled_budget_ms(0.0), 100);     // floor
-  EXPECT_EQ(Advisor::scaled_budget_ms(0.00001), 100); // floor
-  EXPECT_GE(Advisor::scaled_budget_ms(2.0), 3000);    // ~1.5× margin
-}
-
-TEST(Advisor, EmptyHistoryAdvisesNothing) {
-  const Advisor adv;
-  EXPECT_FALSE(adv.advise("aaaa", 1, 2, 3).has_value());
 }
 
 // ----- warm-rerun acceptance bar ---------------------------------------------

@@ -7,7 +7,7 @@
 ///   pilot-bench run --corpus <manifest|dir|suite:SIZE> --engines a+b
 ///       [--budget-ms N] [--jobs N] [--out runs.jsonl] [--set key=value]...
 ///       [--certify] [--cert-dir DIR] [--shard i/n]
-///       [--cache cache.jsonl] [--advise-from history.jsonl]
+///       [--cache cache.jsonl]
 ///   pilot-bench merge --out merged.jsonl <shard.jsonl>...
 ///   pilot-bench fuzz [--cases N] [--seed U64|from-commit] [--engines a+b]
 ///       [--budget-ms N] [--out DIR]
@@ -59,7 +59,6 @@
 #include "corpus/manifest.hpp"
 #include "corpus/report.hpp"
 #include "corpus/results_db.hpp"
-#include "serve/advisor.hpp"
 #include "serve/verdict_cache.hpp"
 #include "ts/transition_system.hpp"
 #include "util/json.hpp"
@@ -197,7 +196,6 @@ int cmd_run(int argc, const char* const* argv) {
   std::string cert_dir;
   std::string shard_text;
   std::string cache_path;
-  std::string advise_from;
   OptionParser parser(
       "pilot-bench run — run a (corpus × engines) campaign into a results "
       "db");
@@ -218,10 +216,6 @@ int cmd_run(int argc, const char* const* argv) {
   parser.add_string("cache", &cache_path,
                     "JSONL verdict cache: serve revalidated hits, store new "
                     "certified verdicts (created when missing)");
-  parser.add_string("advise-from", &advise_from,
-                    "results db mined for engine/budget advice on cache "
-                    "misses (nearest prior instance opens, full spec is the "
-                    "fallback)");
   parser.add_int("budget-ms", &budget_ms, "per-case wall-clock budget");
   parser.add_int("jobs", &jobs, "worker threads (0 = hardware concurrency)");
   parser.add_int("seed", &seed, "engine seed");
@@ -261,13 +255,6 @@ int cmd_run(int argc, const char* const* argv) {
     options.cache = &*cache;
     std::fprintf(stderr, "[pilot-bench] cache %s: %zu entries loaded\n",
                  cache_path.c_str(), cache->size());
-  }
-  serve::Advisor advisor;
-  if (!advise_from.empty()) {
-    advisor = serve::Advisor::from_file(advise_from);
-    options.advisor = &advisor;
-    std::fprintf(stderr, "[pilot-bench] advisor: %zu history rows from %s\n",
-                 advisor.size(), advise_from.c_str());
   }
 
   corpus::ResultsDb::Writer writer(out_path, truncate);

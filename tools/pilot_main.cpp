@@ -7,8 +7,9 @@
 ///   pilot serve --socket PATH [options]        Unix-socket verdict server
 ///   pilot submit --socket PATH file.aag ...    client for a running server
 ///
-/// Engine selection: `--engine` picks a backend (or portfolio[:a+b+c] /
-/// portfolio-x[:a+b+c] with lemma exchange); each repeatable
+/// Engine selection: the `--engine` spec alone picks what runs — a backend,
+/// portfolio[:a+b+c], or portfolio-x[:a+b+c] for a race with lemma
+/// exchange; each repeatable
 /// `--set key=value` adjusts one engine setting (ic3::ConfigPatch; the one
 /// key is the strategy spec, e.g. `--set gen=dynamic:8,0.5`).
 ///
@@ -44,7 +45,6 @@
 #include "ic3/generalizer.hpp"
 #include "ic3/witness.hpp"
 #include "obs/trace.hpp"
-#include "serve/advisor.hpp"
 #include "serve/server.hpp"
 #include "serve/verdict_cache.hpp"
 #include "ts/transition_system.hpp"
@@ -223,14 +223,13 @@ int run_serve(int argc, char** argv) {
   std::int64_t queue = 64;
   std::int64_t jobs = 0;
   std::string cache_path;
-  std::string history_path;
   std::string log_level;
   OptionParser parser(
       "pilot serve — long-running verdict server on a Unix stream socket.\n"
       "usage: pilot serve --socket PATH [options]\n"
       "One request per connection: 'ping', 'stats', 'stop', or\n"
       "'check <nbytes>' followed by <nbytes> of AIGER text (see `pilot "
-      "submit`).\nEvery check runs the cache → advisor → engine pipeline; "
+      "submit`).\nEvery check runs the cache → engine pipeline; "
       "SIGTERM or a 'stop' request drains queued jobs before exiting.");
   parser.add_string("socket", &socket_path,
                     "filesystem path to listen on (required; a stale socket "
@@ -247,9 +246,6 @@ int run_serve(int argc, char** argv) {
   parser.add_string("cache", &cache_path,
                     "JSONL verdict cache: serve revalidated hits, store new "
                     "certified verdicts (created when missing)");
-  parser.add_string("history", &history_path,
-                    "results db mined for engine/budget advice on cache "
-                    "misses");
   parser.add_choice("log-level", &log_level,
                     {"silent", "error", "warn", "info", "debug"},
                     "log verbosity (overrides the PILOT_LOG environment "
@@ -278,12 +274,6 @@ int run_serve(int argc, char** argv) {
       std::fprintf(stderr, "[pilot] cache %s: %zu entries loaded\n",
                    cache_path.c_str(), cache->size());
     }
-    serve::Advisor advisor;
-    if (!history_path.empty()) {
-      advisor = serve::Advisor::from_file(history_path);
-      std::fprintf(stderr, "[pilot] advisor: %zu history rows from %s\n",
-                   advisor.size(), history_path.c_str());
-    }
 
     serve::ServerOptions so;
     so.socket_path = socket_path;
@@ -293,7 +283,6 @@ int run_serve(int argc, char** argv) {
     so.queue_capacity = queue > 0 ? static_cast<std::size_t>(queue) : 64;
     so.workers = jobs > 0 ? static_cast<std::size_t>(jobs) : 0;
     so.cache = cache.has_value() ? &*cache : nullptr;
-    so.advisor = history_path.empty() ? nullptr : &advisor;
 
     serve::Server server(std::move(so));
     std::string error;
@@ -430,7 +419,6 @@ int main(int argc, char** argv) {
   std::string engine = "ic3-ctg-pl";
   std::vector<std::string> set_items;
   std::string cache_path;
-  bool exchange = false;
   std::int64_t budget_ms = 0;
   std::int64_t seed = 0;
   std::int64_t property = 0;
@@ -478,9 +466,6 @@ int main(int argc, char** argv) {
                     "serve a hit only after its stored certificate "
                     "re-checks, store new certified verdicts (created when "
                     "missing)");
-  parser.add_flag("exchange", &exchange,
-                  "portfolio runs: share validated lemmas between the "
-                  "racing IC3 backends (same as the portfolio-x spec)");
   parser.add_int("budget-ms", &budget_ms, "wall-clock budget, 0 = unlimited");
   parser.add_int("seed", &seed, "engine randomization seed");
   parser.add_int("property", &property, "property index (bad array / output)");
@@ -564,15 +549,6 @@ int main(int argc, char** argv) {
     // names the offending item and lists the valid keys.
     const ic3::ConfigPatch patch = ic3::ConfigPatch::parse(set_items);
 
-    // --exchange only changes portfolio races; say so instead of silently
-    // running a single engine the user believes is sharing lemmas.
-    if (exchange && !engine::match_portfolio_spec(engine).has_value()) {
-      std::fprintf(stderr,
-                   "pilot: --exchange has no effect on single engine '%s'; "
-                   "use --engine portfolio[:a+b+c] or portfolio-x[:a+b+c]\n",
-                   engine.c_str());
-    }
-
     if (parser.positional().size() > 1) {
       std::fprintf(stderr,
                    "pilot: checks one model (got %zu); run a campaign over "
@@ -624,7 +600,6 @@ int main(int argc, char** argv) {
     check::CheckOptions opts;
     opts.engine_spec = engine;  // resolved against the backend registry
     opts.patch = patch;
-    opts.share_lemmas = exchange;
     opts.budget_ms = budget_ms;
     opts.seed = static_cast<std::uint64_t>(seed);
     opts.property_index = static_cast<std::size_t>(property);
